@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 from . import serial
@@ -70,16 +71,19 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_functor(path: str):
-    doc = _read_json(path)
+def _functor_from_doc(doc, where: str):
     try:
         f = serial.functor_from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: not a functor document ({exc})") from exc
+        raise InputError(f"{where}: not a functor document ({exc})") from exc
     ok, why = validate_functor(f)
     if not ok:
-        raise InputError(f"{path}: invalid functor: {why}")
+        raise InputError(f"{where}: invalid functor: {why}")
     return f
+
+
+def _load_functor(path: str):
+    return _functor_from_doc(_read_json(path), path)
 
 
 def _load_morphism(args):
@@ -225,11 +229,12 @@ def cmd_ext(args) -> int:
 
     doc = _read_json(args.input)
     if "f" in doc and "g" in doc:
-        f = serial.functor_from_json(doc["f"])
-        g = serial.functor_from_json(doc["g"])
+        f = _functor_from_doc(doc["f"], f"{args.input} (f)")
+        g = _functor_from_doc(doc["g"], f"{args.input} (g)")
+        if f.fibration != g.fibration:
+            raise InputError(f"{args.input}: f and g live on different fibrations")
     else:
-        f = serial.functor_from_json(doc)
-        g = f
+        f = g = _functor_from_doc(doc, args.input)
     hc = hom_complex(f, g)
     dims = hc.cohomology_dims()
     _emit(
@@ -404,7 +409,7 @@ def _worker(payload):
     ns = argparse.Namespace(**args_dict)
     ns.input = path
     if ns.output:
-        ns.output = f"{ns.output}.{abs(hash(path)) % 10**8}.json"
+        ns.output = f"{ns.output}.{zlib.crc32(path.encode('utf-8')):08x}.json"
     return _run_single(globals()[fn_name], ns)
 
 

@@ -358,6 +358,16 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nc)])
 
 
+def _subtract_multiple(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
+    """row -= factor * pivot in place, dropping the entries that cancel."""
+    for c, v in pivot.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
 class SparseEchelon:
     """Incremental exact row echelon over Q with dict-of-column rows.
 
@@ -370,23 +380,17 @@ class SparseEchelon:
         self.pivot_rows: dict[int, dict[int, Fraction]] = {}
 
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Eliminate every pivot-column entry, not only the leading one."""
+        """Eliminate every pivot-column entry, not only the leading one.
+
+        Pivot rows are kept fully reduced (each is zero on every other
+        pivot column), so eliminating one pivot never brings in another:
+        one pass over the row's pivot columns suffices.
+        """
         row = {c: v for c, v in row.items() if v}
-        while True:
-            hit = None
-            for c in sorted(row):
-                if c in self.pivot_rows:
-                    hit = c
-                    break
-            if hit is None:
-                return row
-            factor = row[hit]
-            for c, v in self.pivot_rows[hit].items():
-                new = row.get(c, Fraction(0)) - factor * v
-                if new:
-                    row[c] = new
-                else:
-                    row.pop(c, None)
+        pivots = self.pivot_rows
+        for hit in [c for c in row if c in pivots]:
+            _subtract_multiple(row, row[hit], pivots[hit])
+        return row
 
     def insert(self, row: dict[int, Fraction]) -> int | None:
         """Reduce and record; returns the new pivot column or None."""
@@ -395,19 +399,10 @@ class SparseEchelon:
             return None
         lead = min(rem)
         inv = rem[lead]
-        self.pivot_rows[lead] = {c: v / inv for c, v in rem.items()}
+        pivot = self.pivot_rows[lead] = {c: v / inv for c, v in rem.items()}
         # keep earlier pivot rows reduced against the new one
-        for pc, prow in list(self.pivot_rows.items()):
-            if pc == lead:
-                continue
-            if lead in prow:
-                factor = prow[lead]
-                for c, v in self.pivot_rows[lead].items():
-                    new = prow.get(c, Fraction(0)) - factor * v
-                    if new:
-                        prow[c] = new
-                    else:
-                        prow.pop(c, None)
+        for prow in [p for p in self.pivot_rows.values() if lead in p and p is not pivot]:
+            _subtract_multiple(prow, prow[lead], pivot)
         return lead
 
     @property
@@ -456,15 +451,6 @@ def sparse_solve(rows: Iterable[dict], rhs_col: int) -> list[tuple[int, Fraction
         if v:
             sol.append((pc, -v))
     return sol
-
-
-def matrix_sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
-    out = []
-    for i in range(m.rows):
-        row = {j: m.at(i, j) for j in range(m.cols) if m.at(i, j)}
-        if row:
-            out.append(row)
-    return out
 
 
 def column_space_complement(basis: Matrix) -> list[int]:

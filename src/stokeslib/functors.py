@@ -26,7 +26,6 @@ from .exactmath import (
     kernel_basis,
     mat_rank,
     mat_solve,
-    matrix_sparse_rows,
     sparse_kernel_basis,
     sparse_rank,
     sparse_solve,
@@ -926,16 +925,34 @@ def natural_isomorphism(f: StokesFunctor, g: StokesFunctor, seed: int = 7, tries
 
 @dataclass
 class HomComplex:
-    """A finite cochain complex of exact matrices, supported in degrees >= 0."""
+    """A finite cochain complex over Q, supported in degrees >= 0.
+
+    ``rows[i]`` holds the differential C^i -> C^(i+1) as sparse rows,
+    ``{row index: {column: Fraction}}`` in increasing row order; rows that
+    vanish are absent.
+    """
 
     dims: list
-    differentials: list  # differentials[i]: C^i -> C^(i+1)
+    rows: list
+
+    @property
+    def differentials(self) -> list:
+        """The differentials as dense matrices, built afresh on each read."""
+        out = []
+        for i, sparse in enumerate(self.rows):
+            nr, nc = self.dims[i + 1], self.dims[i]
+            ent = [Fraction(0)] * (nr * nc)
+            for r, row in sparse.items():
+                for c, v in row.items():
+                    ent[r * nc + c] = v
+            out.append(Matrix(nr, nc, tuple(ent)))
+        return out
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
     def cohomology_dims(self) -> list:
-        ranks = [sparse_rank(matrix_sparse_rows(d)) for d in self.differentials]
+        ranks = [sparse_rank(d.values()) for d in self.rows]
         out = []
         for i, dim in enumerate(self.dims):
             r_out = ranks[i] if i < len(ranks) else 0
@@ -944,19 +961,29 @@ class HomComplex:
         return out
 
 
+def _sparse_lines(m: Matrix, by_column: bool) -> list:
+    """Nonzero entries of each column (or row) of m as (index, value) pairs."""
+    if by_column:
+        return [[(j, m.at(j, s)) for j in range(m.rows) if m.at(j, s)] for s in range(m.cols)]
+    return [[(i, m.at(r, i)) for i in range(m.cols) if m.at(r, i)] for r in range(m.rows)]
+
+
 def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
     """Nerve cochains of the total category with Hom(F(head), G(tail)) parts.
 
     A degree-n cochain assigns to each composable chain of n nonidentity
     morphisms a matrix F(source of chain) -> G(target of chain); the
     simplicial differential's cohomology computes the Ext groups between
-    the two functors over the total category.
+    the two functors over the total category.  The value on a chain is
+    stored row-major, and each differential is built directly as sparse
+    rows.
     """
     if f.fibration != g.fibration:
         raise ValueError("functors live on different fibrations")
     total_cat = TotalCategory.of(f.fibration)
     chains = nondegenerate_chains(total_cat)
     max_len = max(chains.keys())
+    fdim, gdim = f.spaces, g.spaces
 
     def ends(level: int, ch):
         if level == 0:
@@ -971,56 +998,63 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
         for ch in chains.get(level, []):
             src, tgt = ends(level, ch)
             offset[_chain_key(level, ch)] = run
-            run += f.spaces[src] * g.spaces[tgt]
+            run += fdim[src] * gdim[tgt]
         coords.append(offset)
         dims.append(run)
 
-    diffs = []
+    # structure maps, computed once per morphism: the columns of F(m) and the rows of G(m)
+    pre_cols: dict = {}
+    post_rows: dict = {}
+
+    def structure(cache: dict, functor: StokesFunctor, m, by_column: bool) -> list:
+        key = m.key()
+        lines = cache.get(key)
+        if lines is None:
+            lines = cache[key] = _sparse_lines(functor.morphism_matrix(m), by_column)
+        return lines
+
+    all_rows = []
     for level in range(max_len):
-        rows, cols = dims[level + 1], dims[level]
-        ent = [[Fraction(0)] * cols for _ in range(rows)]
+        coord = coords[level]
+        rows: dict[int, dict[int, Fraction]] = {}
         for ch in chains.get(level + 1, []):
             src, tgt = ends(level + 1, ch)
-            d_src, d_tgt = f.spaces[src], g.spaces[tgt]
+            d_src, d_tgt = fdim[src], gdim[tgt]
             r_off = coords[level + 1][_chain_key(level + 1, ch)]
-
-            def out_idx(r: int, s: int) -> int:
-                # component (r, s) of the value on ch: row r of G(tgt), col s of F(src)
-                return r_off + r * d_src + s
-
             # face 0: drop the first morphism, precompose with F(ch[0])
-            face = ch[1:] if level >= 1 else ch[0].target
-            c_off = coords[level][_chain_key(level, face)]
-            fsrc, ftgt = ends(level, face)
-            pre = f.morphism_matrix(ch[0])  # F(src) -> F(fsrc)
-            for r in range(g.spaces[ftgt]):
-                for j in range(f.spaces[fsrc]):
-                    var = c_off + r * f.spaces[fsrc] + j
-                    for s in range(d_src):
-                        if pre.at(j, s):
-                            ent[out_idx(r, s)][var] += pre.at(j, s)
+            first = coord[_chain_key(level, ch[1:] if level >= 1 else ch[0].target)]
+            first_width = fdim[ch[0].target]
+            pre = structure(pre_cols, f, ch[0], True)  # F(src) -> F(ch[0].target)
             # inner faces: merge consecutive morphisms
-            for i in range(1, level + 1):
-                merged = ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :]
-                c_off = coords[level][_chain_key(level, merged)]
-                sign = Fraction((-1) ** i)
-                for r in range(d_tgt):
-                    for s in range(d_src):
-                        ent[out_idx(r, s)][c_off + r * d_src + s] += sign
+            inner = [
+                (
+                    coord[_chain_key(level, ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :])],
+                    Fraction((-1) ** i),
+                )
+                for i in range(1, level + 1)
+            ]
             # last face: drop the last morphism, postcompose with G(ch[-1])
-            face = ch[:-1] if level >= 1 else ch[0].source
-            c_off = coords[level][_chain_key(level, face)]
-            fsrc, ftgt = ends(level, face)
-            post = g.morphism_matrix(ch[-1])  # G(ftgt) -> G(tgt)
-            sign = Fraction((-1) ** (level + 1))
-            for i2 in range(g.spaces[ftgt]):
-                for s in range(f.spaces[fsrc]):
-                    var = c_off + i2 * f.spaces[fsrc] + s
-                    for r in range(d_tgt):
-                        if post.at(r, i2):
-                            ent[out_idx(r, s)][var] += sign * post.at(r, i2)
-        diffs.append(Matrix(rows, cols, tuple(v for row in ent for v in row)))
-    return HomComplex(dims, diffs)
+            last = coord[_chain_key(level, ch[:-1] if level >= 1 else ch[0].source)]
+            post = structure(post_rows, g, ch[-1], False)  # G(ch[-1].source) -> G(tgt)
+            sign = (-1) ** (level + 1)
+            for r in range(d_tgt):
+                base = first + r * first_width
+                post_r = [(last + i2 * d_src, sign * v) for i2, v in post[r]]
+                for s in range(d_src):
+                    # component (r, s) of the value on ch: row r of G(tgt), col s of F(src)
+                    rs = r * d_src + s
+                    row = {base + j: v for j, v in pre[s]}
+                    # later faces may hit the same column; drop what cancels
+                    for c, v in [(off + rs, sg) for off, sg in inner] + [(off + s, v) for off, v in post_r]:
+                        new = row.get(c, 0) + v
+                        if new:
+                            row[c] = new
+                        else:
+                            del row[c]
+                    if row:
+                        rows[r_off + rs] = row
+        all_rows.append(rows)
+    return HomComplex(dims, all_rows)
 
 
 def _chain_key(level: int, ch):

@@ -76,10 +76,14 @@ def poset_to_json(p: FinPoset) -> dict:
 
 def poset_from_json(d) -> FinPoset:
     elems = [str(e) for e in d["elements"]]
+    leq = d["leq"]
+    n = len(elems)
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise ValueError(f"leq must be a {n}x{n} matrix over the {n} elements")
     rel = set()
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if d["leq"][i][j]:
+            if leq[i][j]:
                 rel.add((a, b))
     return FinPoset(tuple(elems), frozenset(rel))
 

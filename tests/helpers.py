@@ -17,9 +17,11 @@ from stokeslib import (
     MonotoneMap,
     StokesFibration,
     StokesFunctor,
+    TotalCategory,
     cover_arrow_id,
     lift_arrow_id,
     make_circle_base,
+    nondegenerate_chains,
 )
 
 
@@ -85,6 +87,100 @@ def oracle_solve(a_rows, b_col):
 
 def mat_rows(m: Matrix):
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def matrix_sparse_rows(m: Matrix) -> list[dict]:
+    """The nonzero rows of m as {column: value} dicts."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat_rows(m) if any(row)]
+
+
+# ---------------------------------------------------------------------------
+# dense nerve cochain complex (the oracle for the sparse hom_complex)
+
+
+def _chain_key(level: int, ch):
+    return ch if level == 0 else tuple(m.key() for m in ch)
+
+
+def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
+    """(dims, dense differentials) of the nerve cochain complex Hom(F, G).
+
+    Fills each differential as a dense list of Fractions, recomputing the
+    structure maps at every face.  Chains, faces, signs and the row-major
+    indexing of a chain's value are those of ``stokeslib.hom_complex``.
+    """
+    total_cat = TotalCategory.of(f.fibration)
+    chains = nondegenerate_chains(total_cat)
+    max_len = max(chains.keys())
+
+    def ends(level: int, ch):
+        if level == 0:
+            return ch, ch
+        return ch[0].source, ch[-1].target
+
+    coords: list[dict] = []
+    dims: list[int] = []
+    for level in range(max_len + 1):
+        offset = {}
+        run = 0
+        for ch in chains.get(level, []):
+            src, tgt = ends(level, ch)
+            offset[_chain_key(level, ch)] = run
+            run += f.spaces[src] * g.spaces[tgt]
+        coords.append(offset)
+        dims.append(run)
+
+    diffs = []
+    for level in range(max_len):
+        rows, cols = dims[level + 1], dims[level]
+        ent = [[Fraction(0)] * cols for _ in range(rows)]
+        for ch in chains.get(level + 1, []):
+            src, tgt = ends(level + 1, ch)
+            d_src, d_tgt = f.spaces[src], g.spaces[tgt]
+            r_off = coords[level + 1][_chain_key(level + 1, ch)]
+
+            def out_idx(r: int, s: int) -> int:
+                return r_off + r * d_src + s
+
+            # face 0: drop the first morphism, precompose with F(ch[0])
+            face = ch[1:] if level >= 1 else ch[0].target
+            c_off = coords[level][_chain_key(level, face)]
+            fsrc, ftgt = ends(level, face)
+            pre = f.morphism_matrix(ch[0])
+            for r in range(g.spaces[ftgt]):
+                for j in range(f.spaces[fsrc]):
+                    var = c_off + r * f.spaces[fsrc] + j
+                    for s in range(d_src):
+                        if pre.at(j, s):
+                            ent[out_idx(r, s)][var] += pre.at(j, s)
+            # inner faces: merge consecutive morphisms
+            for i in range(1, level + 1):
+                merged = ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :]
+                c_off = coords[level][_chain_key(level, merged)]
+                sign = Fraction((-1) ** i)
+                for r in range(d_tgt):
+                    for s in range(d_src):
+                        ent[out_idx(r, s)][c_off + r * d_src + s] += sign
+            # last face: drop the last morphism, postcompose with G(ch[-1])
+            face = ch[:-1] if level >= 1 else ch[0].source
+            c_off = coords[level][_chain_key(level, face)]
+            fsrc, ftgt = ends(level, face)
+            post = g.morphism_matrix(ch[-1])
+            sign = Fraction((-1) ** (level + 1))
+            for i2 in range(g.spaces[ftgt]):
+                for s in range(f.spaces[fsrc]):
+                    var = c_off + i2 * f.spaces[fsrc] + s
+                    for r in range(d_tgt):
+                        if post.at(r, i2):
+                            ent[out_idx(r, s)][var] += sign * post.at(r, i2)
+        diffs.append(Matrix(rows, cols, tuple(v for row in ent for v in row)))
+    return dims, diffs
+
+
+def oracle_cohomology_dims(dims, diffs) -> list:
+    """Cohomology dimensions of a dense complex by independent elimination."""
+    ranks = [oracle_rank(mat_rows(d)) for d in diffs] + [0]
+    return [dims[i] - ranks[i] - (ranks[i - 1] if i else 0) for i in range(len(dims))]
 
 
 # ---------------------------------------------------------------------------

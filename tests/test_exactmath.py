@@ -6,14 +6,13 @@ import pytest
 from stokeslib import Matrix, inverse, is_invertible, kernel_basis, mat_rank, mat_solve, solve_column
 from stokeslib.exactmath import (
     GaussianRational,
-    matrix_sparse_rows,
     rat_str,
     sparse_kernel_basis,
     sparse_rank,
     sparse_solve,
 )
 
-from helpers import mat_rows, oracle_rank, oracle_solve
+from helpers import mat_rows, matrix_sparse_rows, oracle_rank, oracle_solve
 
 
 def test_rank_identity_and_degenerate():

@@ -17,7 +17,28 @@ from stokeslib import (
 )
 from stokeslib.fixtures import rank_one_one_functor, two_value_circle
 
-from helpers import oracle_centralizer_dim, random_invertible
+from helpers import (
+    oracle_centralizer_dim,
+    oracle_cohomology_dims,
+    oracle_hom_complex,
+    random_invertible,
+    random_standard_functor,
+)
+
+
+def checked_complex(f: StokesFunctor, g: StokesFunctor):
+    """hom_complex(f, g), checked against the dense oracle and Nat(f, g)."""
+    hc = hom_complex(f, g)
+    dims, diffs = oracle_hom_complex(f, g)
+    assert hc.dims == dims
+    assert hc.differentials == diffs
+    for sparse in hc.rows:
+        assert list(sparse) == sorted(sparse)
+        assert all(row and all(row.values()) for row in sparse.values())
+    expected = oracle_cohomology_dims(dims, diffs)
+    assert hc.cohomology_dims() == expected
+    assert expected[0] == len(natural_transformation_basis(f, g))
+    return hc
 
 
 def local_system(n_points: int, monodromies: list[Matrix]) -> StokesFunctor:
@@ -44,14 +65,14 @@ def test_one_point_one_fiber():
     one = FinPoset.antichain(["a"])
     fib = StokesFibration(base, {"x": one}, {})
     f = StokesFunctor(fib, {("x", "a"): 1}, {})
-    hc = hom_complex(f, f)
+    hc = checked_complex(f, f)
     assert hc.dims == [1]
     assert hc.cohomology_dims() == [1]
 
 
 def test_trivial_rank_one_circle():
     f = local_system(1, [Matrix.identity(1)])
-    hc = hom_complex(f, f)
+    hc = checked_complex(f, f)
     assert hc.dims == [2, 2]
     assert hc.cohomology_dims() == [1, 1]
     assert hc.euler_characteristic() == 0
@@ -66,7 +87,7 @@ def test_chain_fiber_induced_from_bottom():
         {("x", "a"): 1, ("x", "b"): 1},
         {cover_arrow_id("x", "a", "b"): Matrix.identity(1)},
     )
-    hc = hom_complex(f, f)
+    hc = checked_complex(f, f)
     assert hc.dims == [2, 1]
     # End of a projective-like object: H^0 = 1, H^1 = 0
     assert hc.cohomology_dims() == [1, 0]
@@ -75,12 +96,10 @@ def test_chain_fiber_induced_from_bottom():
 def test_differential_squares_to_zero():
     rng = random.Random(21)
     space = two_value_circle()
-    from helpers import random_standard_functor
-
     for _ in range(4):
         f = random_standard_functor(space.fibration, {"a": rng.randint(1, 2), "b": 1}, rng)
         g = random_standard_functor(space.fibration, {"a": 1, "b": rng.randint(1, 2)}, rng)
-        hc = hom_complex(f, g)
+        hc = checked_complex(f, g)
         for d0, d1 in zip(hc.differentials, hc.differentials[1:]):
             assert (d1 @ d0).is_zero()
 
@@ -98,7 +117,7 @@ def test_long_chain_complex_squares_to_zero_and_is_projectively_acyclic():
             cover_arrow_id("x", "c", "d"): Matrix.from_rows([[1, 0], [0, 1], [0, 0]]),
         },
     )
-    hc = hom_complex(f, f)
+    hc = checked_complex(f, f)
     assert len(hc.dims) == 4  # chains up to length 3
     for d0, d1 in zip(hc.differentials, hc.differentials[1:]):
         assert (d1 @ d0).is_zero()
@@ -122,7 +141,7 @@ def test_diamond_base_complex_and_composition_normalization():
         arrows[lift_arrow_id(arr.name, "u")] = Matrix.identity(1)
         arrows[lift_arrow_id(arr.name, "v")] = Matrix.identity(2)
     f = StokesFunctor(fib, spaces, arrows)
-    hc = hom_complex(f, f)
+    hc = checked_complex(f, f)
     for d0, d1 in zip(hc.differentials, hc.differentials[1:]):
         assert (d1 @ d0).is_zero()
     # constant functor over a contractible base: H^0 only
@@ -147,6 +166,7 @@ def test_rank_one_any_monodromy():
     for lam in (1, 2, -3):
         f = local_system(2, [Matrix.from_rows([[lam]]), Matrix.identity(1)])
         dims = ext_dims(f, f)
+        assert dims == checked_complex(f, f).cohomology_dims()
         assert dims[0] == 1 and dims[1] == 1
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == 0
 
@@ -155,6 +175,7 @@ def test_rank_two_diagonal_monodromy():
     m = Matrix.from_rows([[1, 0], [0, 2]])
     f = local_system(1, [m])
     dims = ext_dims(f, f)
+    assert dims == checked_complex(f, f).cohomology_dims()
     assert dims[0] == 2 and dims[1] == 2
     # independent check: centralizer dimension of the monodromy
     assert dims[0] == oracle_centralizer_dim([[1, 0], [0, 2]])
@@ -168,6 +189,7 @@ def test_ext_zero_functor():
         {aid: Matrix.zeros(0, 0) for aid in f.arrows},
     )
     assert all(d == 0 for d in ext_dims(zero, zero))
+    assert checked_complex(zero, zero).dims == [0, 0]
 
 
 def test_ext_zero_against_nat_basis():
@@ -176,6 +198,7 @@ def test_ext_zero_against_nat_basis():
         m = random_invertible(2, rng)
         f = local_system(n, [m, Matrix.identity(2)])
         dims = ext_dims(f, f)
+        assert dims == checked_complex(f, f).cohomology_dims()
         assert dims[0] == len(natural_transformation_basis(f, f))
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == 0
 
@@ -184,3 +207,24 @@ def test_tangent_dims_are_shifted_ext():
     space = two_value_circle()
     f = rank_one_one_functor(space)
     assert tangent_dims(f) == ext_dims(f, f)
+
+
+def test_sparse_complex_matches_dense_oracle_on_random_pairs():
+    rng = random.Random(8)
+    space = two_value_circle()
+    for _ in range(6):
+        dims_f = {"a": rng.randint(1, 2), "b": rng.randint(1, 2)}
+        dims_g = {"a": rng.randint(1, 2), "b": rng.randint(1, 2)}
+        f = random_standard_functor(space.fibration, dims_f, rng, conjugate=True)
+        g = random_standard_functor(space.fibration, dims_g, rng, conjugate=True)
+        checked_complex(f, g)
+        checked_complex(g, f)
+        checked_complex(f, f)
+
+
+def test_differentials_densify_on_each_read():
+    f = local_system(1, [Matrix.from_rows([[1, 0], [0, 2]])])
+    hc = hom_complex(f, f)
+    first, second = hc.differentials, hc.differentials
+    assert first == second and first is not second
+    assert [(d.rows, d.cols) for d in first] == [(hc.dims[1], hc.dims[0])]

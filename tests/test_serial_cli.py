@@ -202,3 +202,98 @@ def test_cli_kummer_and_multi_input(tmp_path, space):
     f2.write_text(serial.dumps(serial.functor_to_json(nonsplit_witness(space))))
     # max of the exit codes: split fails on the witness
     assert run_cli(tmp_path, "split", "--input", str(f1), "--input", str(f2)) == 1
+
+
+def _truncated_leq_doc(space) -> dict:
+    doc = serial.functor_to_json(rank_one_one_functor(space))
+    fiber = doc["fibration"]["fibers"]["p0"]
+    fiber["leq"] = fiber["leq"][:-1]
+    return doc
+
+
+def test_poset_decoder_rejects_malformed_leq():
+    with pytest.raises(ValueError):
+        serial.poset_from_json({"elements": ["a", "b"], "leq": [[True, False]]})
+    with pytest.raises(ValueError):
+        serial.poset_from_json({"elements": ["a", "b"], "leq": [[True, False], [True]]})
+    with pytest.raises(ValueError):
+        serial.poset_from_json({"elements": ["a"], "leq": [[True, False]]})
+
+
+def test_cli_malformed_poset_is_input_error(tmp_path, space, capsys):
+    bad = tmp_path / "short_leq.json"
+    bad.write_text(serial.dumps(_truncated_leq_doc(space)))
+    for command in ("is-stokes", "split", "validate", "ext"):
+        assert run_cli(tmp_path, command, "--input", str(bad)) == 2
+        assert "error" in capsys.readouterr().err
+
+
+def test_cli_ext_rejects_invalid_functors(tmp_path, space, capsys):
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    broken = json.loads(serial.dumps(good))
+    broken["arrows"].pop(sorted(broken["arrows"])[0])
+    path = tmp_path / "broken.json"
+    path.write_text(serial.dumps(broken))
+    assert run_cli(tmp_path, "ext", "--input", str(path)) == 2
+    assert "input error" in capsys.readouterr().err
+    pair = tmp_path / "pair.json"
+    pair.write_text(serial.dumps({"f": good, "g": broken}))
+    assert run_cli(tmp_path, "ext", "--input", str(pair)) == 2
+    assert "input error" in capsys.readouterr().err
+    # a valid g on another fibration: the two-value circle has four strata, this one two
+    from test_ext import local_system
+
+    other = serial.functor_to_json(local_system(1, [Matrix.identity(1)]))
+    pair.write_text(serial.dumps({"f": good, "g": other}))
+    assert run_cli(tmp_path, "ext", "--input", str(pair)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_ext_stdout_is_the_dense_oracle_complex(tmp_path, space, capsys):
+    from helpers import oracle_cohomology_dims, oracle_hom_complex
+
+    f = rank_one_one_functor(space)
+    g = nonsplit_witness(space)
+    for doc, (a, b) in (
+        (serial.functor_to_json(f), (f, f)),
+        ({"f": serial.functor_to_json(f), "g": serial.functor_to_json(g)}, (f, g)),
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(serial.dumps(doc))
+        assert run_cli(tmp_path, "ext", "--input", str(path)) == 0
+        dims, diffs = oracle_hom_complex(a, b)
+        expected = serial.dumps(
+            {
+                "ext_dims": oracle_cohomology_dims(dims, diffs),
+                "euler_characteristic": sum((-1) ** i * d for i, d in enumerate(dims)),
+                "complex": {"dims": dims, "differentials": [serial.matrix_to_json(d) for d in diffs]},
+            }
+        )
+        assert capsys.readouterr().out == expected
+
+
+def test_cli_multi_input_output_names_do_not_depend_on_hash_seed(tmp_path, space):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    f1 = tmp_path / "f1.json"
+    f2 = tmp_path / "f2.json"
+    f1.write_text(serial.dumps(serial.functor_to_json(rank_one_one_functor(space))))
+    f2.write_text(serial.dumps(serial.functor_to_json(nonsplit_witness(space))))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    names = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / f"out{hash_seed}"
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokeslib.cli", "validate", "--input", str(f1), "--input", str(f2),
+             "--output", str(out_dir / "v")],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names.append(sorted(p.name for p in out_dir.iterdir()))
+    assert len(names[0]) == 2
+    assert names[0] == names[1]
