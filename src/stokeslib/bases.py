@@ -99,33 +99,6 @@ class BaseCategory:
             return BaseMorphism(first.source, second.target, tuple(self._hasse_path(first.source, second.target)))
         return BaseMorphism(first.source, second.target, first.gens + second.gens)
 
-    def connected_components(self) -> list[list[str]]:
-        adj: dict[str, set[str]] = {x: set() for x in self.objects}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen: set[str] = set()
-        comps = []
-        for x in self.objects:
-            if x in seen:
-                continue
-            stack, comp = [x], []
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                comp.append(v)
-                stack.extend(adj[v] - seen)
-            comps.append(sorted(comp))
-        return comps
-
-    def point_name(self, i: int) -> str:
-        return f"p{i % self.n}"
-
-    def arc_name(self, i: int) -> str:
-        return f"s{i % self.n}"
-
 
 def make_circle_base(n: int) -> BaseCategory:
     """Zigzag base of a circle with n point strata and n open arcs.
@@ -171,10 +144,6 @@ class BaseFunctor:
                 ta = self.target.arrow(img)
                 if ta.source != self.object_map[a.source] or ta.target != self.object_map[a.target]:
                     raise ValueError(f"arrow {a.name} mapped incompatibly")
-
-    def apply_morphism(self, m: BaseMorphism) -> BaseMorphism:
-        gens = tuple(self.arrow_map[g] for g in m.gens if self.arrow_map.get(g) is not None)
-        return BaseMorphism(self.object_map[m.source], self.object_map[m.target], gens)
 
 
 def circle_cover_functor(d: int, n: int) -> BaseFunctor:

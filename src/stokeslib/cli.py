@@ -24,10 +24,8 @@ from .fibrations import (
     validate_fibration,
 )
 from .functors import (
-    ext_dims,
     grade,
     induce,
-    is_stokes,
     level_assemble,
     level_disassemble,
     split_global,
@@ -212,13 +210,16 @@ def cmd_disassemble(args) -> int:
 def cmd_assemble(args) -> int:
     doc = _read_json(args.input)
     p = serial.morphism_from_json(doc["morphism"]) if "morphism" in doc else _load_morphism(args)
-    g = serial.functor_from_json(doc["g"])
-    h = serial.functor_from_json(doc["h"])
+    g = _functor_from_doc(doc["g"], f"{args.input} (g)")
+    h = _functor_from_doc(doc["h"], f"{args.input} (h)")
     alpha = {}
     for key, m in doc["alpha"].items():
         x, _, c = key[1:-1].partition(",")
         alpha[(x, c)] = serial.matrix_from_json(m)
-    out = level_assemble(p, g, h, alpha)
+    try:
+        out = level_assemble(p, g, h, alpha)
+    except ArithmeticError as exc:
+        raise InputError(f"{args.input}: the pieces do not fit together: {exc}") from exc
     _emit(serial.functor_to_json(out), args.output)
     _say("level assembly computed")
     return 0
@@ -363,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--input", required=True, help="input JSON path")
         p.add_argument("--output", default=None, help="output path (default stdout; suffixed per input when repeated)")
-        p.add_argument("--format", choices=["json", "dot"], default="json")
         if morphism:
             p.add_argument("--morphism", default=None, help="fibration morphism JSON")
             p.add_argument("--space", default=None, help="circle space JSON (with --level)")
@@ -426,7 +426,8 @@ def main(argv=None) -> int:
         args_dict = {k: v for k, v in vars(args).items() if k not in {"fn", "input"}}
         payloads = [(fn.__name__, args_dict, p) for p in paths]
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # fork starts every worker up front: never more than there are inputs
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
                 codes = list(pool.map(_worker, payloads))
         else:
             codes = [_worker(p) for p in payloads]

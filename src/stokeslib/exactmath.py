@@ -1,16 +1,17 @@
-"""Exact rational and Gaussian-rational arithmetic and dense linear algebra.
+"""Exact rational and Gaussian-rational arithmetic and linear algebra over Q.
 
 Rationals are ``fractions.Fraction`` throughout; matrices are immutable
-row-major tuples of Fractions.  Rank uses fraction-free (Bareiss)
-elimination on an integer rescaling to control coefficient growth.
+row-major tuples of Fractions.  One elimination serves all of the linear
+algebra: ``SparseEchelon`` keeps its pivot rows in reduced row echelon
+form, and rank, solve, inverse, kernel and column-space complement, dense
+or sparse, are read off those pivot rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def rat(x) -> Fraction:
@@ -80,9 +81,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({rat_str(self.re)}, {rat_str(self.im)})"
-
-
-ONE_I = GaussianRational.of(0, 1)
 
 
 @dataclass(frozen=True)
@@ -195,13 +193,6 @@ def hstack_all(mats: Sequence[Matrix], rows: int) -> Matrix:
     return out
 
 
-def vstack_all(mats: Sequence[Matrix], cols: int) -> Matrix:
-    out = Matrix.zeros(0, cols)
-    for m in mats:
-        out = out.vstack(m)
-    return out
-
-
 def block_diag(mats: Sequence[Matrix]) -> Matrix:
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
@@ -214,148 +205,6 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
         r0 += m.rows
         c0 += m.cols
     return Matrix.from_rows(out) if rows else Matrix(0, cols, ())
-
-
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    # Clear denominators row by row; rank is unchanged.
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
-
-
-def mat_rank(m: Matrix) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    a = _integer_rows(m)
-    nr, nc = m.rows, m.cols
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        for i in range(row + 1, nr):
-            for j in range(col + 1, nc):
-                a[i][j] = (a[i][j] * p - a[i][col] * a[row][j]) // prev
-            a[i][col] = 0
-        prev = p
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
-
-
-def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution of a*x = b (b may carry several columns), or None.
-
-    Any solution is acceptable for underdetermined systems; free variables
-    are set to zero.
-    """
-    if a.rows != b.rows:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    work = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    nr, nc = a.rows, a.cols
-    wide = nc + b.cols
-    pivots = []
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pv = work[row][col]
-        work[row] = [x / pv for x in work[row]]
-        for i in range(nr):
-            if i != row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    for i in range(row, nr):
-        if any(work[i][j] != 0 for j in range(nc, wide)):
-            return None
-    sol = [[Fraction(0)] * b.cols for _ in range(nc)]
-    for r, col in enumerate(pivots):
-        for j in range(b.cols):
-            sol[col][j] = work[r][nc + j]
-    return Matrix.from_rows(sol) if nc else Matrix(0, b.cols, ())
-
-
-def solve_column(a: Matrix, b: Sequence) -> list[Fraction] | None:
-    """Column-vector form of :func:`mat_solve`."""
-    bm = Matrix.from_rows([[x] for x in b]) if len(b) else Matrix(0, 1, ())
-    sol = mat_solve(a, bm)
-    return None if sol is None else [sol.at(i, 0) for i in range(sol.rows)]
-
-
-def is_invertible(m: Matrix) -> bool:
-    """True iff m is square of full rank."""
-    return m.rows == m.cols and mat_rank(m) == m.rows
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    sol = mat_solve(m, Matrix.identity(m.rows))
-    if sol is None:
-        raise ValueError("singular matrix")
-    return sol
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a basis of ker(m).  Shape cols x nullity."""
-    nr, nc = m.rows, m.cols
-    work = [list(m.row(i)) for i in range(nr)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(nc):
-        piv = None
-        for i in range(row, nr):
-            if work[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        pv = work[row][col]
-        work[row] = [x / pv for x in work[row]]
-        for i in range(nr):
-            if i != row and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    cols = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        cols.append(v)
-    if not cols:
-        return Matrix(nc, 0, ())
-    return Matrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(nc)])
 
 
 def _subtract_multiple(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
@@ -372,8 +221,9 @@ class SparseEchelon:
     """Incremental exact row echelon over Q with dict-of-column rows.
 
     Rows are inserted one at a time, reduced against the recorded pivots;
-    nonzero remainders are normalized and become new pivots.  Suited to
-    the large, very sparse naturality systems.
+    nonzero remainders are normalized and become new pivots.  The pivot
+    rows are always the reduced row echelon form of the rows inserted so
+    far, so every answer read off them is unique.
     """
 
     def __init__(self):
@@ -410,19 +260,25 @@ class SparseEchelon:
         return len(self.pivot_rows)
 
 
-def sparse_rank(rows: Iterable[dict]) -> int:
+def _echelon(rows: Iterable[dict]) -> SparseEchelon:
     ech = SparseEchelon()
     for row in rows:
         ech.insert(row)
-    return ech.rank
+    return ech
+
+
+def _matrix_rows(m: Matrix) -> Iterator[dict]:
+    return (dict(enumerate(m.row(i))) for i in range(m.rows))
+
+
+def sparse_rank(rows: Iterable[dict]) -> int:
+    return _echelon(rows).rank
 
 
 def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel vectors (as sparse dicts) of the system with the given rows."""
-    ech = SparseEchelon()
-    for row in rows:
-        ech.insert(row)
-    pivots = ech.pivot_rows
+    """Kernel vectors (as sparse dicts) of the system with the given rows,
+    one per free column in increasing order."""
+    pivots = _echelon(rows).pivot_rows
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
@@ -440,33 +296,71 @@ def sparse_solve(rows: Iterable[dict], rhs_col: int) -> list[tuple[int, Fraction
     column ``rhs_col`` holds the negated right-hand side; free variables are
     set to zero.  Returns the (column, value) pairs of a solution, or None.
     """
-    ech = SparseEchelon()
-    for row in rows:
-        ech.insert(row)
-    if rhs_col in ech.pivot_rows:
+    pivots = _echelon(rows).pivot_rows
+    if rhs_col in pivots:
         return None
-    sol = []
-    for pc, prow in ech.pivot_rows.items():
-        v = prow.get(rhs_col)
-        if v:
-            sol.append((pc, -v))
+    return [(pc, -prow[rhs_col]) for pc, prow in pivots.items() if rhs_col in prow]
+
+
+def mat_rank(m: Matrix) -> int:
+    """Rank over Q."""
+    return _echelon(_matrix_rows(m)).rank
+
+
+def mat_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """One exact solution of a*x = b (b may carry several columns), or None.
+
+    Any solution is acceptable for underdetermined systems; free variables
+    are set to zero.  The system is inconsistent iff a pivot of [a | b]
+    lands in a column of b.
+    """
+    if a.rows != b.rows:
+        raise ValueError("dimension mismatch between matrix and right-hand side")
+    nc = a.cols
+    pivots = _echelon(dict(enumerate(a.row(i) + b.row(i))) for i in range(a.rows)).pivot_rows
+    if any(c >= nc for c in pivots):
+        return None
+    zero = Fraction(0)
+    ent = []
+    for c in range(nc):
+        prow = pivots.get(c, {})
+        ent.extend(prow.get(nc + j, zero) for j in range(b.cols))
+    return Matrix(nc, b.cols, tuple(ent))
+
+
+def solve_column(a: Matrix, b: Sequence) -> list[Fraction] | None:
+    """Column-vector form of :func:`mat_solve`."""
+    bm = Matrix.from_rows([[x] for x in b]) if len(b) else Matrix(0, 1, ())
+    sol = mat_solve(a, bm)
+    return None if sol is None else [sol.at(i, 0) for i in range(sol.rows)]
+
+
+def is_invertible(m: Matrix) -> bool:
+    """True iff m is square of full rank."""
+    return m.rows == m.cols and mat_rank(m) == m.rows
+
+
+def inverse(m: Matrix) -> Matrix:
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    sol = mat_solve(m, Matrix.identity(m.rows))
+    if sol is None:
+        raise ValueError("singular matrix")
     return sol
 
 
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a basis of ker(m).  Shape cols x nullity."""
+    vecs = sparse_kernel_basis(_matrix_rows(m), m.cols)
+    zero = Fraction(0)
+    return Matrix(m.cols, len(vecs), tuple(v.get(i, zero) for i in range(m.cols) for v in vecs))
+
+
 def column_space_complement(basis: Matrix) -> list[int]:
-    """Indices of standard vectors extending col(basis) to the full space."""
-    n = basis.rows
-    chosen: list[int] = []
-    current = basis
-    r = mat_rank(current)
-    for i in range(n):
-        if r == n:
-            break
-        e = Matrix(n, 1, tuple(Fraction(1 if k == i else 0) for k in range(n)))
-        cand = current.hstack(e)
-        r2 = mat_rank(cand)
-        if r2 > r:
-            chosen.append(i)
-            current = cand
-            r = r2
-    return chosen
+    """Indices of standard vectors extending col(basis) to the full space.
+
+    Greedy in increasing index: e_i is kept iff it is independent of
+    col(basis) and of the vectors kept before it.
+    """
+    ech = _echelon(dict(enumerate(basis.entries[j :: basis.cols])) for j in range(basis.cols))
+    return [i for i in range(basis.rows) if ech.insert({i: Fraction(1)}) is not None]

@@ -123,16 +123,28 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
             return False, f"missing matrix for arrow {arrow_id}"
         if (m.rows, m.cols) != (f.spaces[tgt], f.spaces[src]):
             return False, f"shape mismatch on arrow {arrow_id}"
-    # fiber functoriality: all cover paths between comparable pairs agree
+    # fiber functoriality: all cover paths between comparable pairs agree.
+    # Along a linear extension above a, the paths into b agree iff every
+    # cover (u, b) with a <= u gives the same cover(u, b) . M(a, u).
     for x in fib.base.objects:
         p = fib.fiber(x)
+        order = p.linear_extension()
+        below = {b: [] for b in order}
+        for u, v in p.covers():
+            below[v].append(u)
         for a in p.elements:
-            for b in p.elements:
-                if not p.lt(a, b):
+            composite = {a: None}  # the identity at a
+            for b in order:
+                mats = [
+                    f.cover_matrix(x, u, b) if u == a else f.cover_matrix(x, u, b) @ composite[u]
+                    for u in below[b]
+                    if u in composite
+                ]
+                if not mats:
                     continue
-                mats = [_path_matrix(f, x, path) for path in _cover_paths(p, a, b)]
                 if any(m.entries != mats[0].entries for m in mats[1:]):
                     return False, f"fiber functoriality fails between {a} and {b} at {x}"
+                composite[b] = mats[0]
     # naturality of cocartesian lifts against fiber covers
     for arr in fib.base.arrows:
         t = fib.transition(arr.name)
@@ -156,23 +168,6 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
                     if any(m.entries != mats[0].entries for m in mats[1:]):
                         return False, f"lift path independence fails over {x}->{y} at {a}"
     return True, "ok"
-
-
-def _cover_paths(p, a, b) -> list:
-    if a == b:
-        return [[]]
-    out = []
-    for u, v in p.covers():
-        if u == a and p.le(v, b):
-            out.extend([[(u, v)] + rest for rest in _cover_paths(p, v, b)])
-    return out
-
-
-def _path_matrix(f: StokesFunctor, x: str, path) -> Matrix:
-    out = f.cover_matrix(x, *path[0])
-    for u, v in path[1:]:
-        out = f.cover_matrix(x, u, v) @ out
-    return out
 
 
 def _lift_path_matrix(f: StokesFunctor, a: str, gens) -> Matrix:
@@ -232,9 +227,8 @@ def split_fiber(f: StokesFunctor, x: str, rng=None) -> Splitting | None:
             rad = hstack_all([f.fiber_matrix(x, c, b) for c in below], d_b)
         else:
             rad = Matrix.zeros(d_b, 0)
-        r = mat_rank(rad)
-        dims[b] = d_b - r
         idx = column_space_complement(rad)
+        dims[b] = len(idx)
         sec = Matrix(
             d_b,
             dims[b],
@@ -252,17 +246,19 @@ def split_fiber(f: StokesFunctor, x: str, rng=None) -> Splitting | None:
         blocks = [b for b in order if fib.le(b, a)]
         cols = [f.fiber_matrix(x, b, a) @ sections[b] for b in blocks]
         th = hstack_all(cols, f.dim(x, a))
-        if not is_invertible(th):
-            raise ArithmeticError("dimension count passed but the comparison is singular")
+        try:
+            theta_inv[a] = inverse(th)
+        except ValueError:
+            raise ArithmeticError("dimension count passed but the comparison is singular") from None
         theta[a] = th
-        theta_inv[a] = inverse(th)
     return Splitting(x, order, dims, sections, theta, theta_inv)
 
 
 def _random_section(rad: Matrix, d: int, k: int, rng) -> Matrix:
+    want = mat_rank(rad) + k
     for _ in range(64):
         cand = Matrix(d, k, tuple(Fraction(rng.randint(-3, 3)) for _ in range(d * k)))
-        if mat_rank(rad.hstack(cand)) == mat_rank(rad) + k:
+        if mat_rank(rad.hstack(cand)) == want:
             return cand
     raise RuntimeError("failed to draw a random complement")
 
@@ -403,30 +399,24 @@ class _BlockIndex:
         raise KeyError(b)
 
 
-def _inclusion_matrix(small: _BlockIndex, big: _BlockIndex) -> Matrix:
-    ent = [[Fraction(0)] * max(small.total, 0) for _ in range(big.total)]
-    for b in small.labels:
-        ro, co = big.offset(b), small.offset(b)
-        for i in range(small.dims[b]):
-            ent[ro + i][co + i] = Fraction(1)
-    if big.total == 0:
-        return Matrix(0, small.total, ())
-    return Matrix.from_rows(ent)
+def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> Matrix:
+    """The rows of m, block by block in src order, placed at the same blocks of tgt.
 
-
-def _scatter_block_rows(stacked: Matrix, row_blocks: list, dims: dict, tgt: _BlockIndex) -> Matrix:
-    """Embed rows of ``stacked`` (grouped by ``row_blocks``) into tgt rows."""
-    ent = [[Fraction(0)] * stacked.cols for _ in range(tgt.total)]
+    m defaults to the identity, which gives the inclusion of src into tgt.
+    Blocks that tgt lacks are dropped; the rows of tgt that no block of
+    src reaches are zero.
+    """
+    if m is None:
+        m = Matrix.identity(src.total)
+    out = [(Fraction(0),) * m.cols] * tgt.total
     ro = 0
-    for b in row_blocks:
-        t_off = tgt.offset(b)
-        for i in range(dims[b]):
-            for j in range(stacked.cols):
-                ent[t_off + i][j] = stacked.at(ro + i, j)
-        ro += dims[b]
-    if tgt.total == 0:
-        return Matrix(0, stacked.cols, ())
-    return Matrix.from_rows(ent)
+    for b in src.labels:
+        if b in tgt.labels:
+            to = tgt.offset(b)
+            for i in range(src.dims[b]):
+                out[to + i] = m.row(ro + i)
+        ro += src.dims[b]
+    return Matrix(tgt.total, m.cols, tuple(x for row in out for x in row))
 
 
 @dataclass
@@ -464,7 +454,7 @@ def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> Indu
     arrows = {}
     for x in target.base.objects:
         for a, b in target.fiber(x).covers():
-            arrows[cover_arrow_id(x, a, b)] = _inclusion_matrix(blocks[(x, a)], blocks[(x, b)])
+            arrows[cover_arrow_id(x, a, b)] = _embed_rows(blocks[(x, a)], blocks[(x, b)])
     for arr in target.base.arrows:
         x, y = arr.source, arr.target
         g_j = target.transition(arr.name)
@@ -478,7 +468,7 @@ def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> Indu
             for b in src_bi.labels:
                 top = std.std_lift_top_columns(arr.name, b)
                 present = s_y.blocks(fib_iy.le, f_i(b))
-                cols.append(_scatter_block_rows(top, present, s_y.dims, tgt_bi))
+                cols.append(_embed_rows(_BlockIndex(present, s_y.dims), tgt_bi, top))
             arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
     out = StokesFunctor(target, spaces, arrows)
     units = {}
@@ -489,7 +479,7 @@ def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> Indu
         for a in fib_i.elements:
             labels = [b for b in s.order if fib_i.le(b, a)]
             small = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            units[(x, a)] = _inclusion_matrix(small, blocks[(x, px(a))]) @ s.theta_inv[a]
+            units[(x, a)] = _embed_rows(small, blocks[(x, px(a))]) @ s.theta_inv[a]
     return InducedFunctor(out, blocks, units)
 
 
@@ -540,7 +530,7 @@ def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> Grade
     arrows = {}
     for x in gfib.base.objects:
         for a, b in gfib.fiber(x).covers():
-            arrows[cover_arrow_id(x, a, b)] = _inclusion_matrix(blocks[(x, a)], blocks[(x, b)])
+            arrows[cover_arrow_id(x, a, b)] = _embed_rows(blocks[(x, a)], blocks[(x, b)])
     for arr in gfib.base.arrows:
         x, y = arr.source, arr.target
         f_i = p.source.transition(arr.name)
@@ -553,15 +543,8 @@ def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> Grade
             for b in src_bi.labels:
                 top = std.std_lift_top_columns(arr.name, b)
                 present = s_y.blocks(fib_iy.le, f_i(b))
-                rows = []
-                off = 0
-                for c in present:
-                    if c in tgt_bi.labels:
-                        rows.extend(range(off, off + s_y.dims[c]))
-                    off += s_y.dims[c]
-                kept = top.submatrix(rows, list(range(top.cols)))
-                kept_blocks = [c for c in present if c in tgt_bi.labels]
-                cols.append(_scatter_block_rows(kept, kept_blocks, s_y.dims, tgt_bi))
+                # only the same-level blocks of the target survive
+                cols.append(_embed_rows(_BlockIndex(present, s_y.dims), tgt_bi, top))
             arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
     return GradedFunctor(StokesFunctor(gfib, spaces, arrows), blocks, quotients)
 
@@ -635,24 +618,17 @@ def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
             # both sides refine to the tops of f with p(b) = c, in splitting order
             labels = [b for b in s.order if px(b) == c]
             fine = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            map1 = gr_g.quotients[(x, c)] @ _inclusion_matrix(fine, g_data.blocks[(x, c)])
-            cols = [pi_h.units[(x, b)] @ _top_inclusion_in_graded(h_data, x, b) for b in labels]
+            map1 = gr_g.quotients[(x, c)] @ _embed_rows(fine, g_data.blocks[(x, c)])
+            cols = [
+                pi_h.units[(x, b)] @ _embed_rows(_BlockIndex([b], s.dims), h_data.blocks[(x, b)])
+                for b in labels
+            ]
             map2 = hstack_all(cols, pi_h.functor.dim(x, c))
-            if not is_invertible(map1):
-                raise ArithmeticError("canonical comparison into the graduation is singular")
-            alpha[(x, c)] = map2 @ inverse(map1)
+            try:
+                alpha[(x, c)] = map2 @ inverse(map1)
+            except ValueError:
+                raise ArithmeticError("canonical comparison into the graduation is singular") from None
     return g, h, alpha
-
-
-def _top_inclusion_in_graded(h_data: GradedFunctor, x: str, b) -> Matrix:
-    bi = h_data.blocks[(x, b)]
-    ent = [[Fraction(0)] * bi.dims[b] for _ in range(bi.total)]
-    off = bi.offset(b)
-    for i in range(bi.dims[b]):
-        ent[off + i][i] = Fraction(1)
-    if bi.total == 0:
-        return Matrix(0, bi.dims[b], ())
-    return Matrix.from_rows(ent)
 
 
 def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alpha: dict) -> StokesFunctor:

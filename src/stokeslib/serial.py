@@ -13,7 +13,7 @@ import json
 from .bases import BaseCategory, make_circle_base, make_poset_base
 from .directions import ExactAngle, StokesDirection
 from .exactmath import GaussianRational, Matrix, rat, rat_str
-from .fibrations import FibrationMorphism, LevelStructure, StokesFibration
+from .fibrations import FibrationMorphism, StokesFibration
 from .functors import StokesFunctor, cover_arrow_id, lift_arrow_id
 from .geometry import Arc, CircleSpace, ExponentialData, IrregularValue
 from .posets import FinPoset, MonotoneMap
@@ -153,14 +153,6 @@ def morphism_from_json(d) -> FibrationMorphism:
         for x in src.base.objects
     }
     return FibrationMorphism(src, tgt, maps)
-
-
-def level_structure_to_json(ls: LevelStructure) -> dict:
-    return {"stages": [morphism_to_json(p) for p in ls.stages]}
-
-
-def level_structure_from_json(d) -> LevelStructure:
-    return LevelStructure(tuple(morphism_from_json(s) for s in d["stages"]))
 
 
 # -- functors -------------------------------------------------------------------

@@ -79,6 +79,76 @@ def test_validate_lift_naturality():
     assert not ok and "naturality" in why
 
 
+def diamond_ladder(k: int) -> FinPoset:
+    """v0 < l1, r1 < v1 < l2, r2 < v2 ... < vk: 2^k cover paths from v0 to vk."""
+    pairs = []
+    for i in range(1, k + 1):
+        for side in ("l", "r"):
+            pairs += [(f"v{i - 1}", f"{side}{i}"), (f"{side}{i}", f"v{i}")]
+    elements = ["v0"] + [e for i in range(1, k + 1) for e in (f"l{i}", f"r{i}", f"v{i}")]
+    return FinPoset.from_relation(elements, pairs)
+
+
+def test_validate_diamond_ladder_without_enumerating_paths():
+    k = 20
+    ladder = diamond_ladder(k)
+    fib = point_fibration(ladder)
+    spaces = {("x", e): 1 for e in ladder.elements}
+    arrows = {cover_arrow_id("x", a, b): Matrix.from_rows([[2 if a.startswith("r") else 1]]) for a, b in ladder.covers()}
+    arrows.update({cover_arrow_id("x", f"v{i - 1}", f"r{i}"): Matrix.from_rows([[Fraction(1, 2)]]) for i in range(1, k + 1)})
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (True, "ok")
+    # one broken diamond: its two sides compose to 1 and 2
+    arrows[cover_arrow_id("x", "v6", "r7")] = Matrix.from_rows([[1]])
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (
+        False,
+        "fiber functoriality fails between v0 and v7 at x",
+    )
+
+
+def test_validate_compares_every_cover_into_an_element():
+    claw = FinPoset.from_relation(["o", "l", "m", "r", "t"], [(p, q) for s in "lmr" for p, q in (("o", s), (s, "t"))])
+    fib = point_fibration(claw)
+    arrows = {cover_arrow_id("x", a, b): Matrix.from_rows([[1]]) for a, b in claw.covers()}
+    arrows[cover_arrow_id("x", "r", "t")] = Matrix.from_rows([[2]])  # only the third side differs
+    f = StokesFunctor(fib, {("x", e): 1 for e in claw.elements}, arrows)
+    assert validate_functor(f) == (False, "fiber functoriality fails between o and t at x")
+
+
+def _path_oracle(f: StokesFunctor, x: str) -> tuple[bool, str]:
+    """Fiber functoriality by enumerating every cover path of every pair."""
+    p = f.fibration.fiber(x)
+
+    def paths(a, b):
+        if a == b:
+            return [Matrix.identity(f.dim(x, a))]
+        return [
+            f.cover_matrix(x, u, v) @ m
+            for u, v in p.covers()
+            if v == b and p.le(a, u)
+            for m in paths(a, u)
+        ]
+
+    for a in p.elements:
+        for b in p.elements:
+            if p.lt(a, b) and len({m.entries for m in paths(a, b)}) > 1:
+                return False, f"fiber functoriality fails between {a} and {b} at {x}"
+    return True, "ok"
+
+
+def test_validate_fiber_functoriality_matches_path_enumeration():
+    from helpers import all_labeled_posets
+
+    rng = random.Random(11)
+    for poset in all_labeled_posets(4):
+        fib = point_fibration(poset)
+        for _ in range(3):
+            arrows = {
+                cover_arrow_id("x", a, b): Matrix.from_rows([[rng.choice([0, 1, 2])]]) for a, b in poset.covers()
+            }
+            f = StokesFunctor(fib, {("x", e): 1 for e in poset.elements}, arrows)
+            assert validate_functor(f) == _path_oracle(f, "x")
+
+
 def test_split_fiber_identity_case():
     chain = FinPoset.chain(["a", "b"])
     fib = point_fibration(chain)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from stokeslib import Matrix, cli, serial
+from stokeslib import Matrix, cli, serial, validate_functor
+from stokeslib.exactmath import rat_str
 from stokeslib.fixtures import (
     nonsplit_witness,
     rank_one_one_functor,
@@ -297,3 +298,68 @@ def test_cli_multi_input_output_names_do_not_depend_on_hash_seed(tmp_path, space
         names.append(sorted(p.name for p in out_dir.iterdir()))
     assert len(names[0]) == 2
     assert names[0] == names[1]
+
+
+def test_cli_assemble_inconsistent_pieces_is_input_error(tmp_path, capsys):
+    import random
+
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+    from helpers import random_standard_functor
+
+    G = GaussianRational.of
+    e3 = ExponentialData(
+        {"u": IrregularValue.zero(), "v": IrregularValue.of((1, G(1))), "w": IrregularValue.of((2, G(1)))}
+    )
+    cs3 = build_circle_space(e3)
+    space_path = tmp_path / "space3.json"
+    space_path.write_text(serial.dumps(serial.circle_space_to_json(cs3)))
+    f_path = tmp_path / "f.json"
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    f_path.write_text(serial.dumps(serial.functor_to_json(f)))
+    dis = tmp_path / "dis.json"
+    assert run_cli(
+        tmp_path, "disassemble", "--input", str(f_path), "--space", str(space_path), "--level", "1",
+        "--output", str(dis),
+    ) == 0
+    doc = json.loads(dis.read_text())
+    # scale one 1x1 lift matrix of g: g stays a valid functor, but no longer fits h and alpha
+    lifts = [k for k, m in doc["g"]["arrows"].items() if "<" not in k.split("::")[1] and m["rows"] == 1 == m["cols"]]
+    lift = doc["g"]["arrows"][sorted(lifts)[0]]
+    lift["entries"] = [rat_str(Fraction(lift["entries"][0]) * 3)]
+    assert validate_functor(serial.functor_from_json(doc["g"]))[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(serial.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(tmp_path, "assemble", "--input", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    # an invalid g is rejected by validation
+    doc["g"]["arrows"].pop(sorted(lifts)[0])
+    bad.write_text(serial.dumps(doc))
+    assert run_cli(tmp_path, "assemble", "--input", str(bad)) == 2
+    assert "invalid functor" in capsys.readouterr().err
+
+
+def test_cli_jobs_never_exceed_the_inputs(tmp_path, space, monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    paths = []
+    for i, f in enumerate((rank_one_one_functor(space), nonsplit_witness(space))):
+        paths += ["--input", str(tmp_path / f"f{i}.json")]
+        (tmp_path / f"f{i}.json").write_text(serial.dumps(serial.functor_to_json(f)))
+    assert run_cli(tmp_path, "split", *paths, "--jobs", "100000") == 1
+    assert seen == [2]

@@ -1,4 +1,4 @@
-"""Property tests: the sparse exact core against the independent oracles.
+"""Property tests: the exact core, sparse and dense, against the independent oracles.
 
 Small random rational systems are drawn by hypothesis under the
 derandomized profile registered in conftest.py, so the examples are the
@@ -10,9 +10,21 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stokeslib.exactmath import SparseEchelon, sparse_kernel_basis, sparse_rank, sparse_solve
+from stokeslib.exactmath import (
+    Matrix,
+    SparseEchelon,
+    column_space_complement,
+    inverse,
+    is_invertible,
+    kernel_basis,
+    mat_rank,
+    mat_solve,
+    sparse_kernel_basis,
+    sparse_rank,
+    sparse_solve,
+)
 
-from helpers import oracle_rank, oracle_rref, oracle_solve
+from helpers import oracle_is_invertible, oracle_rank, oracle_rref, oracle_solve
 
 # zero about half the time, so that rows are sparse and often dependent
 entries = st.one_of(
@@ -86,3 +98,77 @@ def test_sparse_solve_matches_oracle_solve(system):
     else:
         assert got is not None
         assert dict(got) == {j: v for j, v in enumerate(want) if v}
+
+
+# ---------------------------------------------------------------------------
+# the dense wrappers read the same pivot rows
+
+
+def as_matrix(rows, ncols) -> Matrix:
+    return Matrix.from_rows(rows) if rows else Matrix(0, ncols, ())
+
+
+@given(systems())
+def test_mat_rank_matches_oracle_rank(system):
+    rows, ncols = system
+    assert mat_rank(as_matrix(rows, ncols)) == oracle_rank(rows)
+
+
+@given(systems(extra_cols=1), st.integers(1, 3))
+def test_mat_solve_matches_oracle_solve(system, rhs_cols):
+    rows, ncols = system
+    a_rows = [row[: ncols - 1] for row in rows]
+    # the right-hand sides: the last column, then its multiples
+    b_rows = [[row[-1] * (k + 1) for k in range(rhs_cols)] for row in rows]
+    got = mat_solve(as_matrix(a_rows, ncols - 1), as_matrix(b_rows, rhs_cols))
+    want = oracle_solve(a_rows, [row[0] for row in b_rows]) if rows else [Fraction(0)] * (ncols - 1)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and (got.rows, got.cols) == (ncols - 1, rhs_cols)
+        assert [got.at(i, k) for i in range(got.rows) for k in range(rhs_cols)] == [
+            v * (k + 1) for v in want for k in range(rhs_cols)
+        ]
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_inverse_matches_oracle(rows):
+    n = len(rows)
+    m = as_matrix(rows, n)
+    assert is_invertible(m) == oracle_is_invertible(rows)
+    if not is_invertible(m):
+        return
+    inv = inverse(m)
+    augmented, pivots = oracle_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)])
+    assert pivots == list(range(n))
+    assert [list(inv.row(i)) for i in range(n)] == [row[n:] for row in augmented]
+
+
+@given(systems())
+def test_kernel_basis_is_the_oracle_null_space_basis(system):
+    rows, ncols = system
+    rref, pivots = oracle_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    k = kernel_basis(as_matrix(rows, ncols))
+    assert (k.rows, k.cols) == (ncols, len(free))
+    for j, fc in enumerate(free):
+        want = [Fraction(int(i == fc)) for i in range(ncols)]
+        for r, pc in enumerate(pivots):
+            want[pc] = -rref[r][fc]
+        assert [k.at(i, j) for i in range(ncols)] == want
+
+
+@given(systems())
+def test_column_space_complement_is_the_greedy_oracle_choice(system):
+    cols, n = system  # each drawn row is one column of the basis
+
+    def units(idx):
+        return [[Fraction(int(k == i)) for k in range(n)] for i in idx]
+
+    chosen = []
+    for i in range(n):
+        if oracle_rank(cols + units(chosen + [i])) > oracle_rank(cols + units(chosen)):
+            chosen.append(i)
+    basis = as_matrix(cols, n).transpose() if cols else Matrix(n, 0, ())
+    assert column_space_complement(basis) == chosen
+    assert len(chosen) == n - oracle_rank(cols)
