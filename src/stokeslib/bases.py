@@ -79,17 +79,6 @@ class BaseCategory:
                 return [f"{a}<{b}"] + self._hasse_path(b, y)
         raise ValueError(f"no cover path from {x} to {y}")
 
-    def all_hasse_paths(self, x: str, y: str) -> list[list[str]]:
-        """Every cover path from x to y (poset base); used for path independence."""
-        assert self.poset is not None
-        if x == y:
-            return [[]]
-        paths = []
-        for a, b in self.poset.covers():
-            if a == x and self.poset.le(b, y):
-                paths.extend([f"{a}<{b}"] + rest for rest in self.all_hasse_paths(b, y))
-        return paths
-
     def compose(self, first: BaseMorphism, second: BaseMorphism) -> BaseMorphism:
         """second o first, with the canonical generator decomposition."""
         if first.target != second.source:

@@ -46,18 +46,14 @@ def validate_fibration(i: StokesFibration) -> tuple[bool, str]:
         if not t.is_valid():
             return False, f"transition {a.name} is not monotone"
     if i.base.kind == "poset":
-        p = i.base.poset
-        for x in p.elements:
-            for y in p.elements:
-                if not p.lt(x, y):
-                    continue
-                paths = i.base.all_hasse_paths(x, y)
-                composites = []
-                for path in paths:
-                    comp = i.transition_along(BaseMorphism(x, y, tuple(path)))
-                    composites.append(comp.assignment)
-                if any(c != composites[0] for c in composites[1:]):
-                    return False, f"path independence fails between {x} and {y}"
+
+        def step(u, v, m):
+            t = i.transition(f"{u}<{v}")
+            return t.assignment if m is None else {a: t(c) for a, c in m.items()}
+
+        bad = i.base.poset.first_path_conflict(step)
+        if bad is not None:
+            return False, f"path independence fails between {bad[0]} and {bad[1]}"
     return True, "ok"
 
 

@@ -73,10 +73,16 @@ class StokesFunctor:
             raise ValueError(f"{a} is not below {b} in fiber at {x}")
         if a == b:
             return Matrix.identity(self.dim(x, a))
-        for u, v in fib.covers():
-            if v == b and fib.le(a, u):
-                return self.cover_matrix(x, u, v) @ self.fiber_matrix(x, a, u)
-        raise ValueError(f"no cover path from {a} to {b} in fiber at {x}")
+        covers = fib.covers()
+        out = None
+        while b != a:
+            u = next((u for u, v in covers if v == b and fib.le(a, u)), None)
+            if u is None:
+                raise ValueError(f"no cover path from {a} to {b} in fiber at {x}")
+            step = self.cover_matrix(x, u, b)
+            out = step if out is None else out @ step
+            b = u
+        return out
 
     def morphism_matrix(self, tm) -> Matrix:
         """Value on a morphism of the total category."""
@@ -123,28 +129,13 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
             return False, f"missing matrix for arrow {arrow_id}"
         if (m.rows, m.cols) != (f.spaces[tgt], f.spaces[src]):
             return False, f"shape mismatch on arrow {arrow_id}"
-    # fiber functoriality: all cover paths between comparable pairs agree.
-    # Along a linear extension above a, the paths into b agree iff every
-    # cover (u, b) with a <= u gives the same cover(u, b) . M(a, u).
+    # fiber functoriality: all cover paths between comparable pairs agree
     for x in fib.base.objects:
-        p = fib.fiber(x)
-        order = p.linear_extension()
-        below = {b: [] for b in order}
-        for u, v in p.covers():
-            below[v].append(u)
-        for a in p.elements:
-            composite = {a: None}  # the identity at a
-            for b in order:
-                mats = [
-                    f.cover_matrix(x, u, b) if u == a else f.cover_matrix(x, u, b) @ composite[u]
-                    for u in below[b]
-                    if u in composite
-                ]
-                if not mats:
-                    continue
-                if any(m.entries != mats[0].entries for m in mats[1:]):
-                    return False, f"fiber functoriality fails between {a} and {b} at {x}"
-                composite[b] = mats[0]
+        bad = fib.fiber(x).first_path_conflict(
+            lambda u, v, m: f.cover_matrix(x, u, v) if m is None else f.cover_matrix(x, u, v) @ m
+        )
+        if bad is not None:
+            return False, f"fiber functoriality fails between {bad[0]} and {bad[1]} at {x}"
     # naturality of cocartesian lifts against fiber covers
     for arr in fib.base.arrows:
         t = fib.transition(arr.name)
@@ -153,31 +144,23 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
             right = f.fiber_matrix(arr.target, t(a), t(b)) @ f.lift_matrix(arr.name, a)
             if left.entries != right.entries:
                 return False, f"lift naturality fails for {arr.name} at cover {a}<{b}"
-    # base-level path independence for poset bases
+    # base-level path independence for poset bases: per fiber element a of
+    # the start, the composite lift and the element it has reached
     if fib.base.kind == "poset":
-        p = fib.base.poset
-        for x in p.elements:
-            for y in p.elements:
-                if not p.lt(x, y):
-                    continue
-                paths = fib.base.all_hasse_paths(x, y)
-                if len(paths) < 2:
-                    continue
-                for a in fib.fiber(x).elements:
-                    mats = [_lift_path_matrix(f, a, path) for path in paths]
-                    if any(m.entries != mats[0].entries for m in mats[1:]):
-                        return False, f"lift path independence fails over {x}->{y} at {a}"
+
+        def step(u, v, m):
+            g = f"{u}<{v}"
+            t = fib.transition(g)
+            if m is None:
+                return {a: (f.lift_matrix(g, a), t(a)) for a in fib.fiber(u).elements}
+            return {a: (f.lift_matrix(g, c) @ lm, t(c)) for a, (lm, c) in m.items()}
+
+        bad = fib.base.poset.first_path_conflict(step)
+        if bad is not None:
+            x, y, m, m2 = bad
+            a = next(a for a in m if m[a] != m2[a])
+            return False, f"lift path independence fails over {x}->{y} at {a}"
     return True, "ok"
-
-
-def _lift_path_matrix(f: StokesFunctor, a: str, gens) -> Matrix:
-    cur = a
-    x = f.fibration.base.arrow(gens[0]).source
-    out = Matrix.identity(f.dim(x, a))
-    for g in gens:
-        out = f.lift_matrix(g, cur) @ out
-        cur = f.fibration.transition(g)(cur)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +246,10 @@ def _random_section(rad: Matrix, d: int, k: int, rng) -> Matrix:
     raise RuntimeError("failed to draw a random complement")
 
 
-def punctual_splittings(f: StokesFunctor, rng=None) -> dict | None:
+def punctual_splittings(f: StokesFunctor) -> dict | None:
     out = {}
     for x in f.fibration.base.objects:
-        s = split_fiber(f, x, rng=rng)
+        s = split_fiber(f, x)
         if s is None:
             return None
         out[x] = s
@@ -351,29 +334,24 @@ class _StdForm:
     functor: StokesFunctor
     splittings: dict  # base object -> Splitting
 
-    def std_lift(self, base_arrow: str, a: str) -> Matrix:
-        """theta_inv . lift . theta: the lift in split coordinates."""
+    def std_lift_top_columns(self, base_arrow: str, b: str) -> Matrix:
+        """The lift at b in split coordinates, on the top block V_b.
+
+        This is theta_inv . lift . theta restricted to the columns of V_b;
+        those columns of theta[b] are the section at b.
+        """
         f = self.functor
         arr = f.fibration.base.arrow(base_arrow)
         t = f.fibration.transition(base_arrow)
         return (
-            self.splittings[arr.target].theta_inv[t(a)]
-            @ f.lift_matrix(base_arrow, a)
-            @ self.splittings[arr.source].theta[a]
+            self.splittings[arr.target].theta_inv[t(b)]
+            @ f.lift_matrix(base_arrow, b)
+            @ self.splittings[arr.source].sections[b]
         )
 
-    def std_lift_top_columns(self, base_arrow: str, b: str) -> Matrix:
-        """Columns of the standardized lift at b restricted to the top block V_b."""
-        f = self.functor
-        arr = f.fibration.base.arrow(base_arrow)
-        s_x = self.splittings[arr.source]
-        m = self.std_lift(base_arrow, b)
-        off = s_x.top_offset(f.fibration.fiber(arr.source).le, b)
-        return m.submatrix(list(range(m.rows)), list(range(off, off + s_x.dims[b])))
 
-
-def _standardize(f: StokesFunctor, rng=None) -> _StdForm:
-    splittings = punctual_splittings(f, rng=rng)
+def _standardize(f: StokesFunctor) -> _StdForm:
+    splittings = punctual_splittings(f)
     if splittings is None:
         raise ValueError("functor is not punctually split")
     return _StdForm(f, splittings)
@@ -391,12 +369,7 @@ class _BlockIndex:
         return sum(self.dims[b] for b in self.labels)
 
     def offset(self, b) -> int:
-        out = 0
-        for lbl in self.labels:
-            if lbl == b:
-                return out
-            out += self.dims[lbl]
-        raise KeyError(b)
+        return sum(self.dims[c] for c in self.labels[: self.labels.index(b)])
 
 
 def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> Matrix:
@@ -423,9 +396,10 @@ def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> 
 class InducedFunctor:
     """Induction along a fibrationwise map, with canonical block data.
 
-    ``blocks[(x, c)]`` lists the source elements b with p(b) <= c feeding
+    ``blocks[(x, c)]`` lists the source elements b with q(b) <= c feeding
     the value at (x, c), in splitting order; ``units[(x, a)]`` is the unit
-    F(x, a) -> G(x, p(a)) of the induction adjunction.
+    F(x, a) -> G(x, q(a)) of the induction adjunction.  For a graduation
+    the units are the projections F(x, a) -> Gr(x, a).
     """
 
     functor: StokesFunctor
@@ -433,54 +407,62 @@ class InducedFunctor:
     units: dict
 
 
-def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> InducedFunctor:
-    if f.fibration != p.source:
-        raise ValueError("functor does not live on the source of the morphism")
-    if not p.squares_commute():
-        raise ValueError("fibration morphism squares do not commute")
-    std = _standardize(f, rng=rng)
-    target = p.target
-    spaces = {}
+def _identity_at(x: str):
+    return lambda a: a
+
+
+def _induce_split(std: _StdForm, target: StokesFibration, q) -> InducedFunctor:
+    """Induce std.functor onto target along the element maps q(x), on split coordinates.
+
+    The value at (x, c) is the ordered sum of the tops V_b with q(x)(b) <= c.
+    Graduation is the case target = graded fibration and q = identity: the
+    graded order keeps exactly the same-level blocks below each element.
+    """
+    source = std.functor.fibration
     blocks = {}
     for x in target.base.objects:
         s = std.splittings[x]
-        fib_j = target.fiber(x)
-        px = p.map_at(x)
-        for a in fib_j.elements:
-            labels = [b for b in s.order if fib_j.le(px(b), a)]
-            bi = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            blocks[(x, a)] = bi
-            spaces[(x, a)] = bi.total
+        fib = target.fiber(x)
+        qx = q(x)
+        for c in fib.elements:
+            labels = [b for b in s.order if fib.le(qx(b), c)]
+            blocks[(x, c)] = _BlockIndex(labels, {b: s.dims[b] for b in labels})
     arrows = {}
     for x in target.base.objects:
         for a, b in target.fiber(x).covers():
             arrows[cover_arrow_id(x, a, b)] = _embed_rows(blocks[(x, a)], blocks[(x, b)])
     for arr in target.base.arrows:
-        x, y = arr.source, arr.target
-        g_j = target.transition(arr.name)
-        f_i = p.source.transition(arr.name)
-        s_y = std.splittings[y]
-        fib_iy = p.source.fiber(y)
-        for a in target.fiber(x).elements:
-            src_bi = blocks[(x, a)]
-            tgt_bi = blocks[(y, g_j(a))]
-            cols = []
-            for b in src_bi.labels:
-                top = std.std_lift_top_columns(arr.name, b)
-                present = s_y.blocks(fib_iy.le, f_i(b))
-                cols.append(_embed_rows(_BlockIndex(present, s_y.dims), tgt_bi, top))
+        t = target.transition(arr.name)
+        f_i = source.transition(arr.name)
+        s_y = std.splittings[arr.target]
+        fib_iy = source.fiber(arr.target)
+        for a in target.fiber(arr.source).elements:
+            tgt_bi = blocks[(arr.target, t(a))]
+            # the top V_b lands in the blocks below f_i(b); those tgt_bi lacks are dropped
+            cols = [
+                _embed_rows(_BlockIndex(s_y.blocks(fib_iy.le, f_i(b)), s_y.dims), tgt_bi,
+                            std.std_lift_top_columns(arr.name, b))
+                for b in blocks[(arr.source, a)].labels
+            ]
             arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
-    out = StokesFunctor(target, spaces, arrows)
     units = {}
     for x in target.base.objects:
         s = std.splittings[x]
-        px = p.map_at(x)
-        fib_i = p.source.fiber(x)
-        for a in fib_i.elements:
-            labels = [b for b in s.order if fib_i.le(b, a)]
-            small = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            units[(x, a)] = _embed_rows(small, blocks[(x, px(a))]) @ s.theta_inv[a]
-    return InducedFunctor(out, blocks, units)
+        fib = source.fiber(x)
+        qx = q(x)
+        for a in fib.elements:
+            small = _BlockIndex(s.blocks(fib.le, a), s.dims)
+            units[(x, a)] = _embed_rows(small, blocks[(x, qx(a))]) @ s.theta_inv[a]
+    spaces = {key: bi.total for key, bi in blocks.items()}
+    return InducedFunctor(StokesFunctor(target, spaces, arrows), blocks, units)
+
+
+def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
+    if f.fibration != p.source:
+        raise ValueError("functor does not live on the source of the morphism")
+    if not p.squares_commute():
+        raise ValueError("fibration morphism squares do not commute")
+    return _induce_split(_standardize(f), p.target, p.map_at)
 
 
 def induce(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
@@ -488,65 +470,13 @@ def induce(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
     return induce_with_blocks(p, f).functor
 
 
-@dataclass
-class GradedFunctor:
-    """Graduation along a graduation morphism, with canonical block data.
-
-    ``blocks[(x, a)]`` lists the same-level elements below a in splitting
-    order; ``quotients[(x, a)]`` is the projection F(x, a) -> Gr(x, a).
-    """
-
-    functor: StokesFunctor
-    blocks: dict
-    quotients: dict
-
-
-def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor, rng=None) -> GradedFunctor:
+def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
+    """Graduation along a graduation morphism: induction onto the graded fibration."""
     if f.fibration != p.source:
         raise ValueError("functor does not live on the source of the morphism")
     if not all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows):
         raise ValueError("not a graduation morphism: target set-fibration is not locally constant")
-    std = _standardize(f, rng=rng)
-    gfib = graded_fibration(p)
-    spaces = {}
-    blocks = {}
-    quotients = {}
-    for x in gfib.base.objects:
-        s = std.splittings[x]
-        fib_i = p.source.fiber(x)
-        px = p.map_at(x)
-        for a in fib_i.elements:
-            labels = [b for b in s.order if fib_i.le(b, a) and px(b) == px(a)]
-            bi = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            blocks[(x, a)] = bi
-            spaces[(x, a)] = bi.total
-            rows = []
-            off = 0
-            for b in s.blocks(fib_i.le, a):
-                if b in labels:
-                    rows.extend(range(off, off + s.dims[b]))
-                off += s.dims[b]
-            quotients[(x, a)] = s.theta_inv[a].submatrix(rows, list(range(s.theta_inv[a].cols)))
-    arrows = {}
-    for x in gfib.base.objects:
-        for a, b in gfib.fiber(x).covers():
-            arrows[cover_arrow_id(x, a, b)] = _embed_rows(blocks[(x, a)], blocks[(x, b)])
-    for arr in gfib.base.arrows:
-        x, y = arr.source, arr.target
-        f_i = p.source.transition(arr.name)
-        s_y = std.splittings[y]
-        fib_iy = p.source.fiber(y)
-        for a in gfib.fiber(x).elements:
-            src_bi = blocks[(x, a)]
-            tgt_bi = blocks[(y, f_i(a))]
-            cols = []
-            for b in src_bi.labels:
-                top = std.std_lift_top_columns(arr.name, b)
-                present = s_y.blocks(fib_iy.le, f_i(b))
-                # only the same-level blocks of the target survive
-                cols.append(_embed_rows(_BlockIndex(present, s_y.dims), tgt_bi, top))
-            arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
-    return GradedFunctor(StokesFunctor(gfib, spaces, arrows), blocks, quotients)
+    return _induce_split(_standardize(f), graded_fibration(p), _identity_at)
 
 
 def grade(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
@@ -595,21 +525,28 @@ def _set_target_morphism(p: FibrationMorphism) -> FibrationMorphism:
     return FibrationMorphism(gfib, jset, maps)
 
 
+def _square_sides(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor):
+    """The graduation of g over the target and the induction of h to its underlying sets."""
+    return grade_with_blocks(FibrationMorphism.identity(p.target), g), induce_with_blocks(_set_target_morphism(p), h)
+
+
 def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
     """Break a functor across a level graduation morphism.
 
     Returns (g, h, alpha): the induction to the quotient, the graduation,
     and the canonical identification alpha[(x, c)] from the graduation of g
     to the induction of h over the underlying-set fibration of the target.
+    f is split once, and both g and h are built from that one splitting.
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
     std = _standardize(f)
-    g_data = induce_with_blocks(p, f)
-    h_data = grade_with_blocks(p, f)
+    if f.fibration != p.source:
+        raise ValueError("functor does not live on the source of the morphism")
+    g_data = _induce_split(std, p.target, p.map_at)
+    h_data = _induce_split(std, graded_fibration(p), _identity_at)
     g, h = g_data.functor, h_data.functor
-    gr_g = grade_with_blocks(FibrationMorphism.identity(p.target), g)
-    pi_h = induce_with_blocks(_set_target_morphism(p), h)
+    gr_g, pi_h = _square_sides(p, g, h)
     alpha = {}
     for x in p.target.base.objects:
         px = p.map_at(x)
@@ -618,7 +555,7 @@ def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
             # both sides refine to the tops of f with p(b) = c, in splitting order
             labels = [b for b in s.order if px(b) == c]
             fine = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            map1 = gr_g.quotients[(x, c)] @ _embed_rows(fine, g_data.blocks[(x, c)])
+            map1 = gr_g.units[(x, c)] @ _embed_rows(fine, g_data.blocks[(x, c)])
             cols = [
                 pi_h.units[(x, b)] @ _embed_rows(_BlockIndex([b], s.dims), h_data.blocks[(x, b)])
                 for b in labels
@@ -640,8 +577,7 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
-    gr_g = grade_with_blocks(FibrationMorphism.identity(p.target), g)
-    pi_h = induce_with_blocks(_set_target_morphism(p), h)
+    gr_g, pi_h = _square_sides(p, g, h)
     src = p.source
     for key, m in alpha.items():
         if not is_invertible(m):
@@ -653,7 +589,7 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
         px = p.map_at(x)
         for a in src.fiber(x).elements:
             c = px(a)
-            q_side = alpha[(x, c)] @ gr_g.quotients[(x, c)]
+            q_side = alpha[(x, c)] @ gr_g.units[(x, c)]
             r_side = pi_h.units[(x, a)]
             glue = q_side.hstack(-r_side)
             k = kernel_basis(glue)

@@ -74,6 +74,31 @@ class FinPoset:
                 raise ValueError("relation has a cycle; not a poset")
         return tuple(out)
 
+    def first_path_conflict(self, step):
+        """The first (a, b, m, m2) where two cover paths from a to b compose to m != m2.
+
+        From each start a, in element order, walks up a linear extension:
+        ``step(u, v, m)`` extends the composite m from a to u by the cover
+        u < v, and m is None for the identity at a.  Once the composites
+        below b agree, every path into b agrees iff every cover into b gives
+        the same composite, so one pass per start decides all pairs.
+        Returns None when all cover paths agree.
+        """
+        order = self.linear_extension()
+        below = {b: [] for b in order}
+        for u, v in self.covers():
+            below[v].append(u)
+        for a in self.elements:
+            composite = {a: None}
+            for b in order[order.index(a) + 1 :]:
+                ms = [step(u, b, composite[u]) for u in below[b] if u in composite]
+                for m in ms[1:]:
+                    if m != ms[0]:
+                        return a, b, ms[0], m
+                if ms:
+                    composite[b] = ms[0]
+        return None
+
     def height(self) -> int:
         """Length of a longest strictly increasing chain, counted in steps."""
         ext = self.linear_extension()

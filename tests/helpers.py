@@ -23,6 +23,7 @@ from stokeslib import (
     make_circle_base,
     nondegenerate_chains,
 )
+from stokeslib.bases import BaseMorphism
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,60 @@ def canonical_posets(n: int):
 
 
 # ---------------------------------------------------------------------------
+# path enumeration over poset bases (the oracle of the one-pass path checks)
+
+
+def oracle_hasse_paths(poset: FinPoset, x: str, y: str) -> list:
+    """Every cover path from x up to y, as lists of base arrow names a<b."""
+    if x == y:
+        return [[]]
+    return [
+        [f"{a}<{b}"] + rest
+        for a, b in poset.covers()
+        if a == x and poset.le(b, y)
+        for rest in oracle_hasse_paths(poset, b, y)
+    ]
+
+
+def oracle_transition_failures(fib: StokesFibration) -> set:
+    """Pairs x < y of a poset base whose cover paths give different transitions."""
+    p = fib.base.poset
+    out = set()
+    for x in p.elements:
+        for y in p.elements:
+            if p.lt(x, y):
+                composites = {
+                    tuple(sorted(fib.transition_along(BaseMorphism(x, y, tuple(path))).assignment.items()))
+                    for path in oracle_hasse_paths(p, x, y)
+                }
+                if len(composites) > 1:
+                    out.add((x, y))
+    return out
+
+
+def oracle_lift_failures(f: StokesFunctor) -> set:
+    """Triples (x, y, a) whose cover paths x -> y give different composite lifts at a."""
+    fib = f.fibration
+    p = fib.base.poset
+    out = set()
+    for x in p.elements:
+        for y in p.elements:
+            if not p.lt(x, y):
+                continue
+            for a in fib.fiber(x).elements:
+                composites = set()
+                for path in oracle_hasse_paths(p, x, y):
+                    cur, m = a, Matrix.identity(f.dim(x, a))
+                    for g in path:
+                        m = f.lift_matrix(g, cur) @ m
+                        cur = fib.transition(g)(cur)
+                    composites.add(m.entries)
+                if len(composites) > 1:
+                    out.add((x, y, a))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # valid functors with prescribed dimensions (sums of convex thin modules)
 
 
@@ -439,6 +494,15 @@ def random_level_setup(rng, max_classes=3, max_class_size=2):
 
 # ---------------------------------------------------------------------------
 # random Stokes-style functors on fibrations with name-preserving transitions
+
+
+def three_value_circle():
+    """The circle space of the values {0, z^-1, z^-2}, named u, v, w."""
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+
+    G = GaussianRational.of
+    values = {"u": IrregularValue.zero(), "v": IrregularValue.of((1, G(1))), "w": IrregularValue.of((2, G(1)))}
+    return build_circle_space(ExponentialData(values))
 
 
 def random_standard_functor(fib: StokesFibration, dims: dict, rng, singular_at=None, conjugate=False):

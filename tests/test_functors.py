@@ -18,6 +18,7 @@ from stokeslib import (
     split_fiber,
     split_global,
     stokes_witness,
+    validate_fibration,
     validate_functor,
 )
 from stokeslib.fixtures import nonsplit_witness, rank_one_one_functor, two_value_circle
@@ -25,7 +26,9 @@ from stokeslib.fixtures import nonsplit_witness, rank_one_one_functor, two_value
 from helpers import (
     mat_rows,
     oracle_is_invertible,
+    oracle_lift_failures,
     oracle_split_verdict,
+    oracle_transition_failures,
     random_functor_with_dims,
     random_standard_functor,
 )
@@ -147,6 +150,81 @@ def test_validate_fiber_functoriality_matches_path_enumeration():
             }
             f = StokesFunctor(fib, {("x", e): 1 for e in poset.elements}, arrows)
             assert validate_functor(f) == _path_oracle(f, "x")
+
+
+def base_ladder_fibration(k: int, fiber: FinPoset, transitions=None) -> StokesFibration:
+    """A diamond ladder as the poset base, one fiber everywhere, identity transitions by default."""
+    base = make_poset_base(diamond_ladder(k))
+    ident = MonotoneMap.identity(fiber)
+    transitions = {a.name: (transitions or {}).get(a.name, ident) for a in base.arrows}
+    return StokesFibration(base, {x: fiber for x in base.objects}, transitions)
+
+
+def test_validate_diamond_ladder_base_without_enumerating_paths():
+    k = 20
+    one = FinPoset.antichain(["*"])
+    fib = base_ladder_fibration(k, one)
+    assert validate_fibration(fib) == (True, "ok")
+    spaces = {(x, "*"): 1 for x in fib.base.objects}
+    # the r-side of every diamond scales by 1/2 then by 2, the l-side by 1
+    lifts = {a.name: Fraction(1, 2) if a.target.startswith("r") else 2 if a.source.startswith("r") else 1
+             for a in fib.base.arrows}
+    arrows = {lift_arrow_id(name, "*"): Matrix.from_rows([[v]]) for name, v in lifts.items()}
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (True, "ok")
+    arrows[lift_arrow_id("v6<r7", "*")] = Matrix.from_rows([[2]])  # one side of diamond 7 now composes to 4
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (
+        False,
+        "lift path independence fails over v0->v7 at *",
+    )
+    two = FinPoset.antichain(["u", "v"])
+    swap = MonotoneMap(two, two, {"u": "v", "v": "u"})
+    assert validate_fibration(base_ladder_fibration(k, two)) == (True, "ok")
+    assert validate_fibration(base_ladder_fibration(k, two, {"r7<v7": swap})) == (
+        False,
+        "path independence fails between v0 and v7",
+    )
+
+
+def test_base_path_checks_match_path_enumeration_on_small_bases():
+    from helpers import all_labeled_posets
+
+    rng = random.Random(31)
+    two = FinPoset.antichain(["u", "v"])
+    ident = MonotoneMap.identity(two)
+    swap = MonotoneMap(two, two, {"u": "v", "v": "u"})
+    failing = {"fibration": 0, "functor": 0}
+    posets = [p for n in (2, 3, 4) for p in all_labeled_posets(n)] + [diamond_ladder(2), diamond_ladder(3)]
+    for poset in posets:
+        base = make_poset_base(poset)
+        fibers = {x: two for x in base.objects}
+        # lifts are checked over identity transitions and over every valid random fibration
+        lift_fibrations = [StokesFibration(base, fibers, {a.name: ident for a in base.arrows})]
+        for _ in range(4):
+            fib = StokesFibration(base, fibers, {a.name: rng.choice([ident, swap]) for a in base.arrows})
+            ok, why = validate_fibration(fib)
+            bad = oracle_transition_failures(fib)
+            assert ok == (not bad)
+            if ok:
+                lift_fibrations.append(fib)
+            else:
+                failing["fibration"] += 1
+                assert why in {f"path independence fails between {x} and {y}" for x, y in bad}
+        spaces = {(x, e): 1 for x in base.objects for e in two.elements}
+        for fib in lift_fibrations:
+            for _ in range(2):
+                arrows = {
+                    lift_arrow_id(a.name, e): Matrix.from_rows([[rng.choice([1, 1, 2])]])
+                    for a in base.arrows
+                    for e in two.elements
+                }
+                f = StokesFunctor(fib, spaces, arrows)
+                ok, why = validate_functor(f)
+                bad = oracle_lift_failures(f)
+                assert ok == (not bad)
+                if not ok:
+                    failing["functor"] += 1
+                    assert why in {f"lift path independence fails over {x}->{y} at {a}" for x, y, a in bad}
+    assert min(failing.values()) >= 20
 
 
 def test_split_fiber_identity_case():

@@ -226,3 +226,72 @@ def test_assemble_zero_pieces_gives_zero():
     g, h, alpha = level_disassemble(p, f)
     out = level_assemble(p, g, h, alpha)
     assert all(v == 0 for v in out.spaces.values())
+
+
+def test_level_disassemble_splits_each_functor_once(monkeypatch):
+    from stokeslib import functors, pole_level_structure
+    from helpers import random_standard_functor, three_value_circle
+
+    cs3 = three_value_circle()
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    stage = pole_level_structure(cs3).stages[0]
+    split = functors.split_fiber
+    calls = []
+
+    def counting(functor, x, rng=None):
+        calls.append(functor)
+        return split(functor, x, rng=rng)
+
+    monkeypatch.setattr(functors, "split_fiber", counting)
+    g, h, _ = level_disassemble(stage, f)
+    n = len(f.fibration.base.objects)
+    assert len(calls) == 3 * n
+    assert [sum(c is functor for c in calls) for functor in (f, g, h)] == [n, n, n]
+
+
+def _restriction(p: FibrationMorphism, g: StokesFunctor) -> StokesFunctor:
+    """p^*g on the source of p: the value at (x, a) is g at (x, p(a))."""
+    from stokeslib import lift_arrow_id
+
+    src = p.source
+    spaces = {(x, a): g.dim(x, p.map_at(x)(a)) for x in src.base.objects for a in src.fiber(x).elements}
+    arrows = {}
+    for x in src.base.objects:
+        px = p.map_at(x)
+        for a, b in src.fiber(x).covers():
+            arrows[cover_arrow_id(x, a, b)] = g.fiber_matrix(x, px(a), px(b))
+    for arr in src.base.arrows:
+        px = p.map_at(arr.source)
+        for a in src.fiber(arr.source).elements:
+            arrows[lift_arrow_id(arr.name, a)] = g.lift_matrix(arr.name, px(a))
+    return StokesFunctor(src, spaces, arrows)
+
+
+def _assert_natural(f: StokesFunctor, r: StokesFunctor, eta: dict) -> None:
+    from stokeslib.functors import generating_arrow_shapes
+
+    for arrow_id, (tgt, src) in generating_arrow_shapes(f.fibration).items():
+        assert eta[tgt] @ f.arrows[arrow_id] == r.arrows[arrow_id] @ eta[src], arrow_id
+
+
+def test_induction_and_graduation_units_are_natural():
+    """The units F -> p^*(induce F) and the projections F -> R(grade F) commute
+    with every generating arrow, R being the right adjoint of graduation."""
+    from stokeslib import pole_level_structure
+    from stokeslib.functors import grade_with_blocks, induce_with_blocks
+    from helpers import conjugate_functor, random_standard_functor, three_value_circle
+
+    rng = random.Random(12)
+    cases = []
+    for _ in range(10):
+        I, J, assign = random_level_setup(rng)
+        f = conjugate_functor(induced_functor_from_tops(I, {a: rng.randint(0, 2) for a in I.elements}), rng)
+        cases.append((fiberwise_morphism(f.fibration, point_fibration(J), assign), f))
+    cs3 = three_value_circle()
+    f = random_standard_functor(cs3.fibration, {"u": 2, "v": 1, "w": 1}, rng, conjugate=True)
+    cases.append((pole_level_structure(cs3).stages[0], f))
+    for p, f in cases:
+        ind = induce_with_blocks(p, f)
+        _assert_natural(f, _restriction(p, ind.functor), ind.units)
+        gr = grade_with_blocks(p, f)
+        _assert_natural(f, grade_right_adjoint(p, gr.functor), gr.units)

@@ -146,6 +146,37 @@ def test_cli_grade_induce_disassemble_assemble(tmp_path):
     ) == 2
 
 
+def test_cli_level_commands_stdout_is_pinned(tmp_path, capsys):
+    """The exact stdout bytes of grade, induce, disassemble and assemble on the
+    three-value circle of the test above, as SHA-256 digests."""
+    import hashlib
+    import random
+    from helpers import random_standard_functor, three_value_circle
+
+    cs3 = three_value_circle()
+    space_path = tmp_path / "space3.json"
+    space_path.write_text(serial.dumps(serial.circle_space_to_json(cs3)))
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    f_path = tmp_path / "f.json"
+    f_path.write_text(serial.dumps(serial.functor_to_json(f)))
+    want = {
+        "grade": "86b87f089a73abf3bc303971d75772cefb24d860cac5def6f1d331d94e3a4aef",
+        "induce": "d0a5ca647a082f688503cb7fb01a78ca66babd61465f6e010739c778c00f6aa7",
+        "disassemble": "5fad02f317e55842774b8d46c00d3515c24fc7c7c283c81bc0850b3efc07807b",
+        "assemble": "a70920126ab16bb67526f545c1a5503249ffd375fb51753ee7ab875adb99aa73",
+    }
+    got = {}
+    capsys.readouterr()
+    for cmd in ("grade", "induce", "disassemble"):
+        assert run_cli(tmp_path, cmd, "--input", str(f_path), "--space", str(space_path), "--level", "1") == 0
+        got[cmd] = capsys.readouterr().out
+    dis = tmp_path / "dis.json"
+    dis.write_text(got["disassemble"])
+    assert run_cli(tmp_path, "assemble", "--input", str(dis)) == 0
+    got["assemble"] = capsys.readouterr().out
+    assert {cmd: hashlib.sha256(out.encode("utf-8")).hexdigest() for cmd, out in got.items()} == want
+
+
 def test_cli_ext_tangent_cover_collapse_dot(tmp_path, space):
     f_path = tmp_path / "f.json"
     f_path.write_text(serial.dumps(serial.functor_to_json(rank_one_one_functor(space))))
