@@ -172,11 +172,6 @@ class Matrix:
             ent.extend(other.row(i))
         return Matrix(self.rows, self.cols + other.cols, tuple(ent))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         ent = tuple(self.at(i, j) for i in row_idx for j in col_idx)
         return Matrix(len(row_idx), len(col_idx), ent)

@@ -95,9 +95,6 @@ class StokesFunctor:
             cur = self.fibration.transition(g)(cur)
         return self.fiber_matrix(y, cur, c) @ out
 
-    def total_dimension(self) -> int:
-        return sum(self.spaces.values())
-
 
 def generating_arrow_shapes(fib: StokesFibration) -> dict:
     """Expected (target, source) total objects for every generating arrow id."""
@@ -394,16 +391,14 @@ def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> 
 
 @dataclass
 class InducedFunctor:
-    """Induction along a fibrationwise map, with canonical block data.
+    """Induction along a fibrationwise map, with its units.
 
-    ``blocks[(x, c)]`` lists the source elements b with q(b) <= c feeding
-    the value at (x, c), in splitting order; ``units[(x, a)]`` is the unit
-    F(x, a) -> G(x, q(a)) of the induction adjunction.  For a graduation
-    the units are the projections F(x, a) -> Gr(x, a).
+    ``units[(x, a)]`` is the unit F(x, a) -> G(x, q(a)) of the induction
+    adjunction.  For a graduation the units are the projections
+    F(x, a) -> Gr(x, a).
     """
 
     functor: StokesFunctor
-    blocks: dict
     units: dict
 
 
@@ -454,7 +449,7 @@ def _induce_split(std: _StdForm, target: StokesFibration, q) -> InducedFunctor:
             small = _BlockIndex(s.blocks(fib.le, a), s.dims)
             units[(x, a)] = _embed_rows(small, blocks[(x, qx(a))]) @ s.theta_inv[a]
     spaces = {key: bi.total for key, bi in blocks.items()}
-    return InducedFunctor(StokesFunctor(target, spaces, arrows), blocks, units)
+    return InducedFunctor(StokesFunctor(target, spaces, arrows), units)
 
 
 def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
@@ -512,59 +507,29 @@ def grade_right_adjoint(p: FibrationMorphism, h: StokesFunctor) -> StokesFunctor
 # level induction
 
 
-def _set_target_morphism(p: FibrationMorphism) -> FibrationMorphism:
-    """pi: graded fibration -> underlying-set fibration of the target."""
-    from .posets import MonotoneMap
-
-    gfib = graded_fibration(p)
-    jset = fiberwise_set(p.target)
-    maps = {
-        x: MonotoneMap(gfib.fiber(x), jset.fiber(x), p.map_at(x).assignment)
-        for x in gfib.base.objects
-    }
-    return FibrationMorphism(gfib, jset, maps)
-
-
-def _square_sides(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor):
-    """The graduation of g over the target and the induction of h to its underlying sets."""
-    return grade_with_blocks(FibrationMorphism.identity(p.target), g), induce_with_blocks(_set_target_morphism(p), h)
-
-
 def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
     """Break a functor across a level graduation morphism.
 
     Returns (g, h, alpha): the induction to the quotient, the graduation,
     and the canonical identification alpha[(x, c)] from the graduation of g
     to the induction of h over the underlying-set fibration of the target.
-    f is split once, and both g and h are built from that one splitting.
+    f is split once, and both g and h are built from that one splitting:
+    both sides then refine to the tops V_b of f with p(b) = c, in splitting
+    order, so alpha is the identity.
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
     std = _standardize(f)
     if f.fibration != p.source:
         raise ValueError("functor does not live on the source of the morphism")
-    g_data = _induce_split(std, p.target, p.map_at)
-    h_data = _induce_split(std, graded_fibration(p), _identity_at)
-    g, h = g_data.functor, h_data.functor
-    gr_g, pi_h = _square_sides(p, g, h)
+    g = _induce_split(std, p.target, p.map_at).functor
+    h = _induce_split(std, graded_fibration(p), _identity_at).functor
     alpha = {}
     for x in p.target.base.objects:
         px = p.map_at(x)
         s = std.splittings[x]
         for c in p.target.fiber(x).elements:
-            # both sides refine to the tops of f with p(b) = c, in splitting order
-            labels = [b for b in s.order if px(b) == c]
-            fine = _BlockIndex(labels, {b: s.dims[b] for b in labels})
-            map1 = gr_g.units[(x, c)] @ _embed_rows(fine, g_data.blocks[(x, c)])
-            cols = [
-                pi_h.units[(x, b)] @ _embed_rows(_BlockIndex([b], s.dims), h_data.blocks[(x, b)])
-                for b in labels
-            ]
-            map2 = hstack_all(cols, pi_h.functor.dim(x, c))
-            try:
-                alpha[(x, c)] = map2 @ inverse(map1)
-            except ValueError:
-                raise ArithmeticError("canonical comparison into the graduation is singular") from None
+            alpha[(x, c)] = Matrix.identity(sum(s.dims[b] for b in s.order if px(b) == c))
     return g, h, alpha
 
 
@@ -577,7 +542,14 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
-    gr_g, pi_h = _square_sides(p, g, h)
+    # the graduation of g over the target, and the induction of h to the
+    # underlying sets of the target, read off one splitting of each
+    if g.fibration != p.target:
+        raise ValueError("functor does not live on the source of the morphism")
+    split_g = _standardize(g).splittings
+    if h.fibration != graded_fibration(p):
+        raise ValueError("functor does not live on the source of the morphism")
+    split_h = _standardize(h).splittings
     src = p.source
     for key, m in alpha.items():
         if not is_invertible(m):
@@ -587,10 +559,13 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     spaces = {}
     for x in src.base.objects:
         px = p.map_at(x)
+        s_g, s_h = split_g[x], split_h[x]
+        le_h = h.fibration.fiber(x).le
         for a in src.fiber(x).elements:
             c = px(a)
-            q_side = alpha[(x, c)] @ gr_g.units[(x, c)]
-            r_side = pi_h.units[(x, a)]
+            q_side = alpha[(x, c)] @ top_projection(g, s_g, c)
+            same_class = _BlockIndex([b for b in s_h.order if px(b) == c], s_h.dims)
+            r_side = _embed_rows(_BlockIndex(s_h.blocks(le_h, a), s_h.dims), same_class) @ s_h.theta_inv[a]
             glue = q_side.hstack(-r_side)
             k = kernel_basis(glue)
             kernels[(x, a)] = k
@@ -670,19 +645,17 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
         return None
     tops = top_functor(f, splittings)
     fib = f.fibration
-    var_offset = {}
-    total = 0
-    for x in fib.base.objects:
-        for a in fib.fiber(x).elements:
-            var_offset[(x, a)] = total
-            total += f.dim(x, a) * splittings[x].dims[a]
+    # sigma: tops -> f restricted to the set fibration, natural over every base arrow
+    on_sets = StokesFunctor(tops.fibration, f.spaces, {k: f.arrows[k] for k in tops.arrows})
+    naturality, var_offset, total = _naturality_rows(tops, on_sets)
 
     def sigma_entry(key, i, j) -> int:
         return var_offset[key] + i * splittings[key[0]].dims[key[1]] + j
 
     rhs_col = total
     rows: list[dict] = []
-    # q . sigma = identity at every total object
+    # q . sigma = identity at every total object; these rows go first, which
+    # keeps the elimination cheap
     for x in fib.base.objects:
         s = splittings[x]
         for a in fib.fiber(x).elements:
@@ -698,26 +671,7 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
                     if r == c:
                         row[rhs_col] = Fraction(-1)
                     rows.append(row)
-    # naturality: lift . sigma_src = sigma_tgt . top-transition
-    for arr in fib.base.arrows:
-        t = fib.transition(arr.name)
-        for a in fib.fiber(arr.source).elements:
-            lmat = f.lift_matrix(arr.name, a)
-            tmat = tops.lift_matrix(arr.name, a)
-            src_key = (arr.source, a)
-            tgt_key = (arr.target, t(a))
-            for r in range(f.dim(arr.target, t(a))):
-                for c in range(splittings[arr.source].dims[a]):
-                    row = {}
-                    for k in range(f.dim(arr.source, a)):
-                        if lmat.at(r, k):
-                            e = sigma_entry(src_key, k, c)
-                            row[e] = row.get(e, Fraction(0)) + lmat.at(r, k)
-                    for k in range(splittings[arr.target].dims[t(a)]):
-                        if tmat.at(k, c):
-                            e = sigma_entry(tgt_key, r, k)
-                            row[e] = row.get(e, Fraction(0)) - tmat.at(k, c)
-                    rows.append(row)
+    rows.extend(naturality)
     if total:
         sol = sparse_solve(rows, rhs_col)
         if sol is None:
@@ -754,10 +708,12 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
 # natural transformations, Ext and tangent dimensions
 
 
-def natural_transformation_basis(f: StokesFunctor, g: StokesFunctor) -> list[dict]:
-    """A basis of the space of natural transformations f -> g."""
-    if f.fibration != g.fibration:
-        raise ValueError("functors live on different fibrations")
+def _naturality_rows(f: StokesFunctor, g: StokesFunctor) -> tuple[list, dict, int]:
+    """The equations eta_tgt . F(m) = G(m) . eta_src over every generating arrow m.
+
+    Returns (sparse rows, offsets, number of unknowns); the entries of
+    eta_(x, a) start at ``offsets[(x, a)]``.
+    """
     fib = f.fibration
     keys = [(x, a) for x in fib.base.objects for a in fib.fiber(x).elements]
     offsets = {}
@@ -788,13 +744,21 @@ def natural_transformation_basis(f: StokesFunctor, g: StokesFunctor) -> list[dic
                         row[e] = row.get(e, Fraction(0)) - gm.at(r, k)
                 if row:
                     rows.append(row)
+    return rows, offsets, total
+
+
+def natural_transformation_basis(f: StokesFunctor, g: StokesFunctor) -> list[dict]:
+    """A basis of the space of natural transformations f -> g."""
+    if f.fibration != g.fibration:
+        raise ValueError("functors live on different fibrations")
+    rows, offsets, total = _naturality_rows(f, g)
     if total == 0:
         return []
     kernel = sparse_kernel_basis(rows, total)
     out = []
     for vec in kernel:
         eta = {}
-        for key in keys:
+        for key in offsets:
             d_g, d_f = g.spaces[key], f.spaces[key]
             off = offsets[key]
             eta[key] = Matrix(

@@ -263,7 +263,6 @@ def pole_level_structure(s: CircleSpace) -> LevelStructure:
     e = s.data
     orders = [leading_data(e.values[a], e.values[b])[0] for a, b in e.pairs()]
     r = int(max(orders)) if orders else 1
-    strata_angles = list(enumerate(s.points)) + [(("s", i), a) for i, a in enumerate(s.arc_samples)]
 
     def quotient_fibration(threshold: int) -> tuple[StokesFibration, dict]:
         classes = _pole_classes(e, threshold)
@@ -271,18 +270,15 @@ def pole_level_structure(s: CircleSpace) -> LevelStructure:
         members = {cn: [n for n in e.names if classes[n] == cn] for cn in class_names}
         fibers = {}
         for obj in s.fibration.base.objects:
-            where = _stratum_angle(s, obj)
+            # the fine fiber holds the pairwise orders at this stratum, and
+            # the strict order is transitive, so the closure adds no pair
+            fine = s.fibration.fiber(obj)
             rel = []
             for i, ca in enumerate(class_names):
                 for cb in class_names[i + 1 :]:
-                    verdicts = {
-                        order_at(e.values[a], e.values[b], where)
-                        for a in members[ca]
-                        for b in members[cb]
-                    }
-                    if "LT" in verdicts:
+                    if any(fine.lt(a, b) for a in members[ca] for b in members[cb]):
                         rel.append((ca, cb))
-                    if "GT" in verdicts:
+                    if any(fine.lt(b, a) for a in members[ca] for b in members[cb]):
                         rel.append((cb, ca))
             fibers[obj] = FinPoset.from_relation(class_names, rel)
         transitions = {}
@@ -293,7 +289,6 @@ def pole_level_structure(s: CircleSpace) -> LevelStructure:
 
     stages = []
     prev_fib = s.fibration
-    prev_classes = {n: n for n in e.names}
     for k in range(r - 1, -1, -1):
         threshold = r - k
         fib_k, classes_k = quotient_fibration(threshold)
@@ -306,13 +301,7 @@ def pole_level_structure(s: CircleSpace) -> LevelStructure:
             maps[obj] = MonotoneMap(prev_fib.fiber(obj), fib_k.fiber(obj), assignment)
         stages.append(FibrationMorphism(prev_fib, fib_k, maps))
         prev_fib = fib_k
-        prev_classes = classes_k
     return LevelStructure(tuple(stages))
-
-
-def _stratum_angle(s: CircleSpace, obj: str) -> Angle:
-    idx = int(obj[1:])
-    return s.points[idx] if obj.startswith("p") else s.arc_samples[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +472,6 @@ class AffineForm:
 
     def __call__(self, point) -> Fraction:
         return sum((c * rat(p) for c, p in zip(self.coeffs, point)), self.const)
-
-
-def sign_vector_at(forms, point) -> str:
-    out = []
-    for phi in forms:
-        v = phi(point)
-        out.append("0" if v == 0 else ("+" if v > 0 else "-"))
-    return "".join(out)
 
 
 def _sign_leq(sv: str, tv: str) -> bool:

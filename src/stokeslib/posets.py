@@ -21,17 +21,23 @@ class FinPoset:
     def from_relation(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "FinPoset":
         """Poset generated by ``pairs`` under reflexive-transitive closure."""
         elems = tuple(elements)
-        rel = {(a, a) for a in elems}
-        rel.update((a, b) for a, b in pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b2 == b and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        return FinPoset(elems, frozenset(rel))
+        pairs = list(pairs)
+        # one Warshall pass over bitset rows, also through elements that
+        # only the pairs mention
+        nodes = list(dict.fromkeys([*elems, *(x for pair in pairs for x in pair)]))
+        index = {x: i for i, x in enumerate(nodes)}
+        rows = [0] * len(nodes)
+        for a in elems:
+            rows[index[a]] |= 1 << index[a]
+        for a, b in pairs:
+            rows[index[a]] |= 1 << index[b]
+        for k, row_k in enumerate(rows):
+            bit = 1 << k
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | row_k
+        rel = frozenset((a, b) for a, row in zip(nodes, rows) for j, b in enumerate(nodes) if row >> j & 1)
+        return FinPoset(elems, rel)
 
     @staticmethod
     def chain(elements: Iterable[str]) -> "FinPoset":
@@ -173,18 +179,23 @@ def validate_poset(p: FinPoset) -> tuple[bool, str]:
     elems = set(p.elements)
     if len(elems) != len(p.elements):
         return False, "duplicate element identifiers"
-    for a, b in p.leq:
+    for a, b in sorted(p.leq):
         if a not in elems or b not in elems:
             return False, f"relation mentions unknown element in ({a}, {b})"
     for a in p.elements:
         if (a, a) not in p.leq:
             return False, f"reflexivity fails at {a}"
-    for a, b in p.leq:
-        if a != b and (b, a) in p.leq:
-            return False, f"antisymmetry fails at ({a}, {b})"
-    for a, b in p.leq:
-        for b2, c in p.leq:
-            if b2 == b and (a, c) not in p.leq:
+    # every scan below runs in element order, so the witness is the same in every process
+    up = {a: [b for b in p.elements if (a, b) in p.leq] for a in p.elements}
+    for a in p.elements:
+        for b in up[a]:
+            if a != b and (b, a) in p.leq:
+                return False, f"antisymmetry fails at ({a}, {b})"
+    for a in p.elements:
+        up_a = set(up[a])
+        for b in up[a]:
+            c = next((c for c in up[b] if c not in up_a), None)
+            if c is not None:
                 return False, f"transitivity fails at ({a}, {b}, {c})"
     return True, "ok"
 

@@ -88,22 +88,6 @@ def poset_from_json(d) -> FinPoset:
     return FinPoset(tuple(elems), frozenset(rel))
 
 
-def monotone_to_json(f: MonotoneMap) -> dict:
-    return {
-        "source": poset_to_json(f.source),
-        "target": poset_to_json(f.target),
-        "assignment": dict(f.assignment),
-    }
-
-
-def monotone_from_json(d) -> MonotoneMap:
-    return MonotoneMap(
-        poset_from_json(d["source"]),
-        poset_from_json(d["target"]),
-        {str(k): str(v) for k, v in d["assignment"].items()},
-    )
-
-
 # -- bases and fibrations ------------------------------------------------------
 
 

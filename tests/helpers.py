@@ -720,3 +720,101 @@ def fibrations_isomorphic_up_to_rotation(f1: StokesFibration, f2: StokesFibratio
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the level pipeline computed the long way (oracles of what it reads off directly)
+
+
+def oracle_from_relation(elements, pairs) -> frozenset:
+    """The reflexive-transitive closure by rescanning every pair until nothing changes."""
+    rel = {(a, a) for a in elements}
+    rel.update((a, b) for a, b in pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(rel):
+            for b2, c in list(rel):
+                if b2 == b and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return frozenset(rel)
+
+
+def stratum_angle(s, obj: str):
+    """The angle at which the fiber of circle stratum obj was evaluated."""
+    idx = int(obj[1:])
+    return s.points[idx] if obj.startswith("p") else s.arc_samples[idx]
+
+
+def oracle_quotient_fibration(s, threshold: int) -> StokesFibration:
+    """The quotient fibration of pole_level_structure, with every class order
+    evaluated again by order_at at the stratum's angle."""
+    from stokeslib.geometry import _pole_classes, order_at
+
+    e = s.data
+    classes = _pole_classes(e, threshold)
+    class_names = sorted(set(classes.values()))
+    members = {cn: [n for n in e.names if classes[n] == cn] for cn in class_names}
+    fibers = {}
+    for obj in s.fibration.base.objects:
+        where = stratum_angle(s, obj)
+        rel = []
+        for i, ca in enumerate(class_names):
+            for cb in class_names[i + 1 :]:
+                verdicts = {order_at(e.values[a], e.values[b], where) for a in members[ca] for b in members[cb]}
+                if "LT" in verdicts:
+                    rel.append((ca, cb))
+                if "GT" in verdicts:
+                    rel.append((cb, ca))
+        fibers[obj] = FinPoset.from_relation(class_names, rel)
+    transitions = {
+        arr.name: MonotoneMap(fibers[arr.source], fibers[arr.target], {cn: cn for cn in class_names})
+        for arr in s.fibration.base.arrows
+    }
+    return StokesFibration(s.fibration.base, fibers, transitions)
+
+
+def set_target_morphism(p):
+    """pi: graded fibration -> underlying-set fibration of the target."""
+    from stokeslib.fibrations import FibrationMorphism, fiberwise_set, graded_fibration
+
+    gfib = graded_fibration(p)
+    jset = fiberwise_set(p.target)
+    maps = {
+        x: MonotoneMap(gfib.fiber(x), jset.fiber(x), p.map_at(x).assignment)
+        for x in gfib.base.objects
+    }
+    return FibrationMorphism(gfib, jset, maps)
+
+
+def oracle_level_alpha(p, f: StokesFunctor, g: StokesFunctor, h: StokesFunctor) -> dict:
+    """alpha[(x, c)] from the graduation of g and the induction of h to the
+    underlying sets, both built in full and compared on the tops of f."""
+    from stokeslib import inverse, split_fiber
+    from stokeslib.exactmath import hstack_all
+    from stokeslib.fibrations import FibrationMorphism, graded_fibration
+    from stokeslib.functors import _BlockIndex, _embed_rows, grade_with_blocks, induce_with_blocks
+
+    gr_g = grade_with_blocks(FibrationMorphism.identity(p.target), g)
+    pi_h = induce_with_blocks(set_target_morphism(p), h)
+    gfib = graded_fibration(p)
+    alpha = {}
+    for x in p.target.base.objects:
+        px = p.map_at(x)
+        s = split_fiber(f, x)
+        tgt = p.target.fiber(x)
+
+        def blocks(le, c):
+            return _BlockIndex([b for b in s.order if le(b, c)], s.dims)
+
+        for c in tgt.elements:
+            labels = [b for b in s.order if px(b) == c]
+            fine = _BlockIndex(labels, s.dims)
+            map1 = gr_g.units[(x, c)] @ _embed_rows(fine, blocks(lambda b, c: tgt.le(px(b), c), c))
+            cols = [
+                pi_h.units[(x, b)] @ _embed_rows(_BlockIndex([b], s.dims), blocks(gfib.fiber(x).le, b))
+                for b in labels
+            ]
+            alpha[(x, c)] = hstack_all(cols, pi_h.functor.dim(x, c)) @ inverse(map1)
+    return alpha

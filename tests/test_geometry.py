@@ -181,6 +181,46 @@ def test_pole_level_structure_examples():
         assert is_level_fibration_morphism(stage)
 
 
+def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
+    """Every fine fiber holds order_at at its stratum, so the quotient stages
+    read their orders off the fibers with no angle evaluation, and equal the
+    stages built by evaluating order_at again."""
+    from stokeslib import directions, geometry
+    from helpers import oracle_quotient_fibration, stratum_angle
+
+    value_sets = [
+        two_value_exponential().values,
+        {"u": ZERO, "v": ZM1, "w": ZM2},
+        {"a": ZERO, "b": ZM1, "c": IrregularValue.of((1, G(0, 1))), "d": ZM2},
+        {"a": ZERO, "b": IrregularValue.of((2, G(1, 1)), (1, G(1))), "c": IrregularValue.of((1, G(-1))),
+         "d": IrregularValue.of((2, G(0, 2)))},
+    ]
+    circles = [build_circle_space(ExponentialData(values)) for values in value_sets]
+    for cs in circles:
+        e = cs.data
+        for x in cs.fibration.base.objects:
+            fine = cs.fibration.fiber(x)
+            for a in e.names:
+                for b in e.names:
+                    if a != b:
+                        want = order_at(e.values[a], e.values[b], stratum_angle(cs, x)) == "LT"
+                        assert fine.lt(a, b) == want, (x, a, b)
+    calls = []
+
+    def counting(name):
+        return lambda *args, **kw: calls.append(name)
+
+    for module, name in ((geometry, "order_at"), (geometry, "pair_sign_at"), (geometry, "compare_angles"),
+                         (directions, "pair_sign_at"), (directions, "compare_angles")):
+        monkeypatch.setattr(module, name, counting(name))
+    levels = [pole_level_structure(cs) for cs in circles]
+    monkeypatch.undo()
+    assert calls == []
+    for cs, ls in zip(circles, levels):
+        for i, stage in enumerate(ls.stages):
+            assert stage.target == oracle_quotient_fibration(cs, i + 1)
+
+
 def test_graded_fibration_of_pole_stage_keeps_classes_apart():
     # hand-check on 3 values with pole orders {1, 2}: after grading the first
     # stage, comparabilities survive only inside the leading-level classes

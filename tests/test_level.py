@@ -21,7 +21,7 @@ from stokeslib import (
     validate_functor,
 )
 from stokeslib.fibrations import FibrationMorphism
-from helpers import random_level_setup
+from helpers import oracle_level_alpha, random_level_setup, set_target_morphism
 
 
 def point_fibration(fiber: FinPoset) -> StokesFibration:
@@ -168,8 +168,6 @@ def test_grade_right_adjoint_zero_across_jumps():
 def test_compatibility_of_graduation_and_induction_dims():
     # induction to the quotient then grading matches grading then set-induction
     rng = random.Random(7)
-    from stokeslib.functors import _set_target_morphism
-
     for _ in range(10):
         I, J, assign = random_level_setup(rng)
         tops = {a: rng.randint(0, 2) for a in I.elements}
@@ -179,7 +177,7 @@ def test_compatibility_of_graduation_and_induction_dims():
         g = induce(p, f)
         gr_of_g = grade(FibrationMorphism.identity(j_fib), g)
         h = grade(p, f)
-        pi_of_h = induce(_set_target_morphism(p), h)
+        pi_of_h = induce(set_target_morphism(p), h)
         for c in J.elements:
             assert gr_of_g.dim("x", c) == pi_of_h.dim("x", c)
 
@@ -243,10 +241,51 @@ def test_level_disassemble_splits_each_functor_once(monkeypatch):
         return split(functor, x, rng=rng)
 
     monkeypatch.setattr(functors, "split_fiber", counting)
-    g, h, _ = level_disassemble(stage, f)
+    g, h, alpha = level_disassemble(stage, f)
     n = len(f.fibration.base.objects)
-    assert len(calls) == 3 * n
-    assert [sum(c is functor for c in calls) for functor in (f, g, h)] == [n, n, n]
+    assert len(calls) == n
+    assert all(c is f for c in calls)
+    calls.clear()
+    level_assemble(stage, g, h, alpha)
+    assert len(calls) == 2 * n
+    assert [sum(c is functor for c in calls) for functor in (g, h)] == [n, n]
+
+
+def test_level_alpha_is_the_identity_of_the_oracle():
+    """alpha, returned as the identity, equals the comparison computed from the
+    full graduation of g and induction of h: on fiberwise setups (conjugated
+    too), at every stage of the three- and four-value circles, and at stage
+    k + 1 on the induction of stage k."""
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space, pole_level_structure
+    from helpers import conjugate_functor, random_standard_functor, three_value_circle
+
+    rng = random.Random(13)
+    cases = []
+    for i in range(16):
+        I, J, assign = random_level_setup(rng)
+        f = induced_functor_from_tops(I, {a: rng.randint(0, 2) for a in I.elements})
+        if i % 2:
+            f = conjugate_functor(f, rng)
+        cases.append((fiberwise_morphism(f.fibration, point_fibration(J), assign), f))
+    G = GaussianRational.of
+    four = build_circle_space(ExponentialData({
+        "a": IrregularValue.zero(),
+        "b": IrregularValue.of((1, G(1))),
+        "c": IrregularValue.of((1, G(0, 1))),
+        "d": IrregularValue.of((2, G(1))),
+    }))
+    for cs, dims in ((three_value_circle(), {"u": 2, "v": 1, "w": 1}), (four, {"a": 1, "b": 1, "c": 1, "d": 1})):
+        f = random_standard_functor(cs.fibration, dims, rng, conjugate=True)
+        for stage in pole_level_structure(cs).stages:
+            if stage.source != f.fibration:
+                # stage k + 1 on the induction of stage k
+                f = level_disassemble(prev, f)[0]
+            cases.append((stage, f))
+            prev = stage
+    assert len(cases) == 16 + 2 + 2  # both circles have two stages
+    for p, f in cases:
+        g, h, alpha = level_disassemble(p, f)
+        assert alpha == oracle_level_alpha(p, f, g, h)
 
 
 def _restriction(p: FibrationMorphism, g: StokesFunctor) -> StokesFunctor:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stokeslib import (
     FinPoset,
@@ -136,3 +138,17 @@ def test_monotone_validity_and_iso():
     flip = MonotoneMap(anti, anti, {"x": "y", "y": "x"})
     assert flip.is_poset_isomorphism()
     assert flip.inverse().assignment == {"y": "x", "x": "y"}
+
+
+names = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+
+
+@given(st.lists(names, unique=True, max_size=5), st.lists(st.tuples(names, names), max_size=12))
+def test_from_relation_matches_the_fixpoint_oracle(elements, pairs):
+    """One Warshall pass gives the fixpoint closure, cycles and elements that
+    only the pairs mention included."""
+    from helpers import oracle_from_relation
+
+    p = FinPoset.from_relation(elements, pairs)
+    assert p.elements == tuple(elements)
+    assert p.leq == oracle_from_relation(elements, pairs)

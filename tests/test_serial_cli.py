@@ -331,6 +331,35 @@ def test_cli_multi_input_output_names_do_not_depend_on_hash_seed(tmp_path, space
     assert names[0] == names[1]
 
 
+def test_cli_validate_witness_does_not_depend_on_hash_seed(tmp_path):
+    """A fiber on a..e given only a<b<c<d<e is not transitive; the reported
+    witness is the first one in element order, in every process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from stokeslib import FinPoset, StokesFibration, make_poset_base
+
+    elems = ("a", "b", "c", "d", "e")
+    leq = frozenset([(x, x) for x in elems] + list(zip(elems, elems[1:])))
+    fib = StokesFibration(make_poset_base(FinPoset.antichain(["x"])), {"x": FinPoset(elems, leq)}, {})
+    doc = tmp_path / "fib.json"
+    doc.write_text(serial.dumps(serial.fibration_to_json(fib)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokeslib.cli", "validate", "--input", str(doc)],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "transitivity fails at (a, b, c)" in outs[0]
+
+
 def test_cli_assemble_inconsistent_pieces_is_input_error(tmp_path, capsys):
     import random
 
