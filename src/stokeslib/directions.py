@@ -11,23 +11,34 @@ rational multiple of pi is rational only at 0 and +-1), so equality is
 decided algebraically through w = c1^m2 * conj(c2)^m1 and an integer
 congruence on (k1, k2), and strict order by adaptive-precision interval
 refinement, which terminates because unequal angles are separated.
+
+Interval enclosures are computed in private mpmath interval contexts, one
+per working precision, which are fixed when created and never written
+again; their endpoints are compared and floored exactly, never rounded
+through a float or an ``mpmath.mpf``.  No function here reads or writes
+mpmath's global precision (``mpmath.mp`` or ``mpmath.iv``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-import mpmath
-from mpmath import iv
+from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 from .exactmath import GaussianRational, rat
 
 _MAX_PREC = 1 << 14
 
-# the interval context carries global precision state; serialize its users
-_IV_LOCK = threading.RLock()
+
+@cache
+def _iv(prec: int) -> MPIntervalContext:
+    """The interval context fixed at ``prec`` bits (64, 128, ..., 2**14)."""
+    ctx = MPIntervalContext()
+    ctx.prec = prec
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -90,68 +101,52 @@ def as_exact(angle: Angle) -> ExactAngle | None:
 
 
 def _frac_iv(q: Fraction, prec: int):
-    with mpmath.workprec(prec):
-        lo = mpmath.fdiv(q.numerator, q.denominator, rounding="d")
-        hi = mpmath.fdiv(q.numerator, q.denominator, rounding="u")
-    return iv.mpf([lo, hi])
-
-
-def _mpf_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
+    lo = libmp.from_rational(q.numerator, q.denominator, prec, "f")
+    hi = libmp.from_rational(q.numerator, q.denominator, prec, "c")
+    return _iv(prec).make_mpf((lo, hi))
 
 
 def _arg_iv(c: GaussianRational, prec: int):
     """Enclosure of arg(c) in [0, 2*pi); c must lie off the real axis."""
     if c.im == 0:
         raise ValueError("axis arguments are handled exactly, not by intervals")
-    iv.prec = prec
-    a = iv.atan2(_frac_iv(c.im, prec), _frac_iv(c.re, prec))
+    ctx = _iv(prec)
+    a = ctx.atan2(_frac_iv(c.im, prec), _frac_iv(c.re, prec))
     if c.im < 0:
-        a = a + 2 * iv.pi
+        a = a + 2 * ctx.pi
     return a
 
 
 def _unreduced_iv(d: StokesDirection, prec: int):
-    iv.prec = prec
-    a = _arg_iv(d.c, prec)
-    return (a - iv.pi / 2 + d.k * iv.pi) / d.m
+    pi = _iv(prec).pi
+    return (_arg_iv(d.c, prec) - pi / 2 + d.k * pi) / d.m
 
 
-def _pin_int(value_iv_fn, prec: int = 64) -> int:
-    """The unique integer in an interval family shrinking onto an integer."""
+def _pin_int(value_iv_fn, rnd_lo: str = "c", prec: int = 64) -> int:
+    """The integer that an interval family pins down as it shrinks.
+
+    Each endpoint is rounded exactly: the lower one by ``rnd_lo`` ("c" for
+    the unique integer inside, "f" for the common floor), the upper one by
+    floor.
+    """
     while prec <= _MAX_PREC:
-        x = value_iv_fn(prec)
-        lo = int(mpmath.ceil(mpmath.mpf(x.a)))
-        hi = int(mpmath.floor(mpmath.mpf(x.b)))
-        if lo == hi:
-            return lo
+        lo, hi = value_iv_fn(prec)._mpi_
+        n = libmp.to_int(lo, rnd_lo)
+        if n == libmp.to_int(hi, "f"):
+            return n
         prec *= 2
     raise RuntimeError("interval refinement failed to pin an integer")
 
 
-def _pin_floor_unreduced(d: StokesDirection, prec: int = 64) -> int:
-    while prec <= _MAX_PREC:
-        iv.prec = prec
-        x = _unreduced_iv(d, prec) / (2 * iv.pi)
-        flo = int(mpmath.floor(mpmath.mpf(x.a)))
-        fhi = int(mpmath.floor(mpmath.mpf(x.b)))
-        if flo == fhi:
-            return flo
-        prec *= 2
-    raise RuntimeError("interval refinement failed to reduce an angle")
-
-
 def angle_iv(angle: Angle, prec: int):
     """Enclosure of the reduced angle in [0, 2*pi)."""
-    iv.prec = prec
+    pi = _iv(prec).pi
     exact = as_exact(angle)
     if exact is not None:
-        return _frac_iv(exact.t, prec) * iv.pi
+        return _frac_iv(exact.t, prec) * pi
     # theta/(2*pi) is irrational here, so the reduction offset gets pinned.
-    n = _pin_floor_unreduced(angle)
-    return _unreduced_iv(angle, prec) - 2 * n * iv.pi
+    n = _pin_int(lambda p: _unreduced_iv(angle, p) / (2 * _iv(p).pi), "f")
+    return _unreduced_iv(angle, prec) - 2 * n * pi
 
 
 def _equal_directions(d1: StokesDirection, d2: StokesDirection) -> bool:
@@ -171,9 +166,8 @@ def _equal_directions(d1: StokesDirection, d2: StokesDirection) -> bool:
         rho = 1 if w.im > 0 else 3
 
     def s_iv(prec):
-        iv.prec = prec
         e = d2.m * _arg_iv(d1.c, prec) - d1.m * _arg_iv(d2.c, prec)
-        return (2 * e / iv.pi - rho) / 4
+        return (2 * e / _iv(prec).pi - rho) / 4
 
     s = _pin_int(s_iv)
     q = rho + 4 * s
@@ -187,20 +181,20 @@ def compare_angles(a1: Angle, a2: Angle) -> int:
     e1, e2 = as_exact(a1), as_exact(a2)
     if e1 is not None and e2 is not None:
         return (e1.t > e2.t) - (e1.t < e2.t)
-    with _IV_LOCK:
-        if e1 is None and e2 is None and _equal_directions(a1, a2):
-            return 0
-        # A rational and an irrational multiple of pi are never equal, and two
-        # inequivalent directions are separated; refine until disjoint.
-        prec = 64
-        while prec <= _MAX_PREC:
-            x1 = angle_iv(a1, prec)
-            x2 = angle_iv(a2, prec)
-            if mpmath.mpf(x1.b) < mpmath.mpf(x2.a):
-                return -1
-            if mpmath.mpf(x2.b) < mpmath.mpf(x1.a):
-                return 1
-            prec *= 2
+    if e1 is None and e2 is None and _equal_directions(a1, a2):
+        return 0
+    # A rational and an irrational multiple of pi are never equal, and two
+    # inequivalent directions are separated; refine until disjoint.  x1 < x2
+    # is True only when all of x1 lies below x2 (None while they overlap).
+    prec = 64
+    while prec <= _MAX_PREC:
+        x1 = angle_iv(a1, prec)
+        x2 = angle_iv(a2, prec)
+        if x1 < x2:
+            return -1
+        if x2 < x1:
+            return 1
+        prec *= 2
     raise RuntimeError("interval refinement failed to separate angles")
 
 
@@ -214,24 +208,29 @@ def angles_equal(a1: Angle, a2: Angle) -> bool:
     return compare_angles(a1, a2) == 0
 
 
+def locate_angle(angle: Angle, points) -> tuple[int, bool]:
+    """Binary search in circle-sorted ``points``: ``(i, True)`` when the angle
+    equals points[i], else ``(i, False)`` with i the number of points below it."""
+    lo, hi = 0, len(points)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = compare_angles(angle, points[mid])
+        if c == 0:
+            return mid, True
+        if c < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, False
+
+
 def sort_angles(angles: list) -> list:
     """Sort by the circle order, deduplicating exact coincidences."""
     out: list = []
     for a in angles:
-        lo, hi = 0, len(out)
-        dup = False
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = compare_angles(a, out[mid])
-            if c == 0:
-                dup = True
-                break
-            if c < 0:
-                hi = mid
-            else:
-                lo = mid + 1
+        i, dup = locate_angle(a, out)
         if not dup:
-            out.insert(lo, a)
+            out.insert(i, a)
     return out
 
 
@@ -245,19 +244,16 @@ def pair_sign_at(c: GaussianRational, m: int, angle: Angle) -> int:
     for k in range(2 * m):
         if angles_equal(angle, StokesDirection(c, m, k)):
             return 0
-    with _IV_LOCK:
-        prec = 64
-        while prec <= _MAX_PREC:
-            iv.prec = prec
-            th = angle_iv(angle, prec)
-            re = _frac_iv(c.re, prec)
-            im = _frac_iv(c.im, prec)
-            val = re * iv.cos(m * th) + im * iv.sin(m * th)
-            if mpmath.mpf(val.a) > 0:
-                return 1
-            if mpmath.mpf(val.b) < 0:
-                return -1
-            prec *= 2
+    prec = 64
+    while prec <= _MAX_PREC:
+        ctx = _iv(prec)
+        th = angle_iv(angle, prec)
+        val = _frac_iv(c.re, prec) * ctx.cos(m * th) + _frac_iv(c.im, prec) * ctx.sin(m * th)
+        if val > 0:
+            return 1
+        if val < 0:
+            return -1
+        prec *= 2
     raise RuntimeError("interval refinement failed to determine a sign")
 
 
@@ -273,26 +269,27 @@ def cyclically_between(a: Angle, x: Angle, b: Angle) -> bool:
     return False
 
 
-def _t_interval(angle: Angle, prec: int):
-    iv.prec = prec
-    return angle_iv(angle, prec) / iv.pi
+def _t_endpoints(angle: Angle, prec: int) -> tuple[Fraction, Fraction]:
+    """Endpoints of an enclosure of theta/pi, each rounded to nearest at
+    prec - 11 bits: 53 at the first precision, so the arc samples stay those
+    that 53-bit endpoint reads gave, and the circle JSON keeps its bytes."""
+    x = angle_iv(angle, prec) / _iv(prec).pi
+    return tuple(Fraction(*libmp.to_rational(libmp.mpf_pos(t, prec - 11, "n"))) for t in x._mpi_)
 
 
 def rational_angle_between(a: Angle, b: Angle) -> ExactAngle:
     """Some exact rational-multiple-of-pi angle strictly inside ccw (a, b).
 
-    Candidates come from interval enclosures and are verified exactly, so
-    the returned angle is certified.
+    Candidates come from rounded interval endpoints, which get finer as the
+    precision doubles, and are verified exactly, so the returned angle is
+    certified.
     """
     if compare_angles(a, b) == 0:
         raise ValueError("empty open arc")
     prec = 64
     while prec <= _MAX_PREC:
-        with _IV_LOCK:
-            ta = _t_interval(a, prec)
-            tb = _t_interval(b, prec)
-            hi_a = _mpf_fraction(ta.b)
-            lo_b = _mpf_fraction(tb.a)
+        hi_a = _t_endpoints(a, prec)[1]
+        lo_b = _t_endpoints(b, prec)[0]
         candidates = [(hi_a + lo_b) / 2, (hi_a + 2) / 2, lo_b / 2]
         for t in candidates:
             cand = ExactAngle(t % 2)

@@ -20,9 +20,9 @@ from .directions import (
     Angle,
     ExactAngle,
     StokesDirection,
-    angles_equal,
     compare_angles,
     cyclically_between,
+    locate_angle,
     pair_sign_at,
     rational_angle_between,
     sort_angles,
@@ -192,10 +192,8 @@ def build_circle_space(e: ExponentialData) -> CircleSpace:
         raise ValueError("at least one irregular value is required")
     if e.ramification != 1:
         raise ValueError("ramified data; apply kummer_pullback first")
-    all_dirs: list[Angle] = []
-    for a, b in e.pairs():
-        all_dirs.extend(stokes_directions(e.values[a], e.values[b]))
-    points = sort_angles(all_dirs)
+    dirs = {(a, b): stokes_directions(e.values[a], e.values[b]) for a, b in e.pairs()}
+    points = sort_angles([d for ds in dirs.values() for d in ds])
     if not points:
         # single value: a degenerate one-point circle carrying the constant fibration
         base = make_circle_base(1)
@@ -205,14 +203,9 @@ def build_circle_space(e: ExponentialData) -> CircleSpace:
         return CircleSpace(e, fib, (ExactAngle(Fraction(0)),), (ExactAngle(Fraction(1)),), {0: []}, True)
     n = len(points)
     base = make_circle_base(n)
-    samples = []
-    for i in range(n):
-        samples.append(rational_angle_between(points[i], points[(i + 1) % n]))
-    fibers = {}
-    for i, theta in enumerate(points):
-        fibers[f"p{i}"] = _order_poset(e, theta)
-    for i, sample in enumerate(samples):
-        fibers[f"s{i}"] = _order_poset(e, sample)
+    samples = [rational_angle_between(points[i], points[(i + 1) % n]) for i in range(n)]
+    fibers = {f"p{i}": _order_poset(e, theta) for i, theta in enumerate(points)}
+    fibers.update({f"s{i}": _order_poset(e, sample) for i, sample in enumerate(samples)})
     transitions = {}
     for i in range(n):
         ident = {name: name for name in e.names}
@@ -223,12 +216,9 @@ def build_circle_space(e: ExponentialData) -> CircleSpace:
     if not ok:
         raise AssertionError(f"constructed circle fibration invalid: {why}")
     provenance = {i: [] for i in range(n)}
-    for a, b in e.pairs():
-        for d in stokes_directions(e.values[a], e.values[b]):
-            for i, theta in enumerate(points):
-                if angles_equal(d, theta):
-                    provenance[i].append((a, b))
-                    break
+    for pair, ds in dirs.items():
+        for d in ds:
+            provenance[locate_angle(d, points)[0]].append(pair)
     return CircleSpace(e, fib, tuple(points), tuple(samples), provenance, False)
 
 
@@ -328,48 +318,69 @@ class Arc:
             return True
         return cyclically_between(self.start, x, self.end)
 
-    def on_boundary(self, x: Angle) -> bool:
-        if self.full:
-            return False
-        return angles_equal(x, self.start) or angles_equal(x, self.end)
+
+def _before(x: Angle, i: int, y: Angle, j: int) -> bool:
+    """x comes before y counterclockwise inside one gap.
+
+    An angle that is not a point is located by its insertion index i among
+    the sorted points: it lies in the gap (p[i-1], p[i]), and i is n before
+    angle 0 and 0 after it in the gap that crosses 0.
+    """
+    return i > j if i != j else compare_angles(x, y) < 0
+
+
+def _locate_arc(s: CircleSpace, arc: Arc) -> tuple[int, int, int] | None:
+    """(i, j, count): the insertion indices of a proper arc's ends and the
+    number of points strictly inside it, which are p[i], ..., p[i+count-1]
+    (indices mod n); None when an end is a point."""
+    i, on_start = locate_angle(arc.start, s.points)
+    j, on_end = locate_angle(arc.end, s.points)
+    if on_start or on_end:
+        return None
+    n = len(s.points)
+    count = (j - i) % n
+    if count == 0 and not _before(arc.start, i, arc.end, j):
+        count = n  # both ends in one gap, the arc runs the long way round
+    return i, j, count
+
+
+def _holds_each_pair_once(s: CircleSpace, located) -> bool:
+    if located is None:
+        return False
+    i, _, count = located
+    inside = [pair for r in range(count) for pair in s.provenance[(i + r) % len(s.points)]]
+    return sorted(inside) == s.data.pairs()
 
 
 def is_elementary_arc(s: CircleSpace, arc: Arc) -> bool:
-    """Each unequal pair has exactly one Stokes point in the closed arc,
-    interior, with opposite strict orders on the two sides."""
+    """Each unequal pair has exactly one Stokes point in the closed arc, in
+    its interior: no end is a point, and the provenance of the points inside
+    names every pair once.
+
+    The order of the pair then flips across that point, because the zeros
+    of Re(c * exp(-i*m*theta)) are simple; so the sides need no check.
+    """
     if s.degenerate:
         return True
-    for a, b in s.data.pairs():
-        va, vb = s.data.values[a], s.data.values[b]
-        dirs = stokes_directions(va, vb)
-        if arc.full:
-            return False  # 2m >= 2 locus points
-        if any(arc.on_boundary(d) for d in dirs):
-            return False
-        inside = [d for d in dirs if arc.contains_strictly(d)]
-        if len(inside) != 1:
-            return False
-        d0 = inside[0]
-        left = rational_angle_between(arc.start, d0)
-        right = rational_angle_between(d0, arc.end)
-        o1, o2 = order_at(va, vb, left), order_at(va, vb, right)
-        if {o1, o2} != {"LT", "GT"}:
+    return not arc.full and _holds_each_pair_once(s, _locate_arc(s, arc))
+
+
+def _interiors_cover(s: CircleSpace, located: list) -> bool:
+    """The open elementary arcs, given as (arc, (i, j, count)), cover the circle.
+
+    Elementary arcs end in two different gaps, so it suffices that each gap
+    (p[k], p[k+1]) lies inside one arc, or that an arc ending in it ends
+    after another starts in it; a point is then covered with the gap before it.
+    """
+    n = len(s.points)
+    for k in range(n):
+        if any((k - i) % n < count - 1 for _, (i, _, count) in located):
+            continue
+        ends = [(a.end, j) for a, (_, j, _) in located if (j - 1) % n == k]
+        starts = [(a.start, i) for a, (i, _, _) in located if (i - 1) % n == k]
+        if not any(_before(x, i, y, j) for x, i in starts for y, j in ends):
             return False
     return True
-
-
-def _interiors_cover(s: CircleSpace, arcs: list[Arc]) -> bool:
-    if any(a.full for a in arcs):
-        return True
-    if not arcs:
-        return False
-    critical = sort_angles([a.start for a in arcs] + [a.end for a in arcs] + list(s.points))
-    probes = list(critical)
-    for i in range(len(critical)):
-        j = (i + 1) % len(critical)
-        if compare_angles(critical[i], critical[j]) != 0:
-            probes.append(rational_angle_between(critical[i], critical[j]))
-    return all(any(a.contains_strictly(x) for a in arcs) for x in probes)
 
 
 def elementary_cover(s: CircleSpace) -> list[Arc] | None:
@@ -385,25 +396,19 @@ def elementary_cover(s: CircleSpace) -> list[Arc] | None:
     if s.degenerate:
         return [Arc(None, None, full=True)]
     e = s.data
-    orders = [int(leading_data(e.values[a], e.values[b])[0]) for a, b in e.pairs()]
-    m = max(orders)
+    m = max(int(leading_data(e.values[a], e.values[b])[0]) for a, b in e.pairs())
     half = Fraction(1, 2 * m)  # half arc length, in units of pi
     n = len(s.points)
+    mids = s.arc_samples  # rational_angle_between(p[i], p[i+1])
     centers: list[ExactAngle] = []
     for i in range(n):
-        lo, hi = s.points[i], s.points[(i + 1) % n]
-        mid = rational_angle_between(lo, hi)
-        centers.append(mid)
-        centers.append(rational_angle_between(lo, mid))
-        centers.append(rational_angle_between(mid, hi))
+        lo, mid, hi = s.points[i], mids[i], s.points[(i + 1) % n]
+        centers += [mid, rational_angle_between(lo, mid), rational_angle_between(mid, hi)]
     candidates = [Arc(ExactAngle(c.t - half), ExactAngle(c.t + half)) for c in centers]
     # arcs flanking each Stokes point, bounded by neighbouring gap samples
-    for i in range(n):
-        prev_mid = rational_angle_between(s.points[(i - 1) % n], s.points[i])
-        next_mid = rational_angle_between(s.points[i], s.points[(i + 1) % n])
-        if compare_angles(prev_mid, next_mid) != 0:
-            candidates.append(Arc(prev_mid, next_mid))
-    verified = [a for a in candidates if is_elementary_arc(s, a)]
+    candidates += [Arc(mids[i - 1], mids[i]) for i in range(n)]
+    located = [(a, _locate_arc(s, a)) for a in candidates]
+    verified = [(a, loc) for a, loc in located if _holds_each_pair_once(s, loc)]
     if not _interiors_cover(s, verified):
         return None
     # prune arcs that are not needed for the cover
@@ -412,7 +417,7 @@ def elementary_cover(s: CircleSpace) -> list[Arc] | None:
         rest = [x for x in pruned if x is not a]
         if rest and _interiors_cover(s, rest):
             pruned = rest
-    return pruned
+    return [a for a, _ in pruned]
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +431,16 @@ def restrict_to_arc(s: CircleSpace, arc: Arc) -> tuple[StokesFibration, BaseFunc
     """
     if arc.full:
         raise ValueError("restriction expects a proper closed arc")
-    if any(angles_equal(arc.start, p) or angles_equal(arc.end, p) for p in s.points):
+    located = _locate_arc(s, arc)
+    if located is None:
         raise ValueError("arc endpoints must avoid the point strata")
+    i, _, count = located
     n = len(s.points)
-    inside = [i for i in range(n) if arc.contains_strictly(s.points[i])]
-    if not inside:
-        # the arc sits inside one open stratum: find it and restrict trivially
-        for i in range(n):
-            if cyclically_between(s.points[i], arc.start, s.points[(i + 1) % n]):
-                pt = FinPoset.antichain(["t0"])
-                basef = BaseFunctor(make_poset_base(pt), s.fibration.base, {"t0": f"s{i}"}, {})
-                return pullback_fibration(basef, s.fibration), basef
-        raise AssertionError("arc start not located inside any stratum")
-    # consecutive run of contained points, starting with the first after arc.start
-    if len(inside) == n:
-        first = next(
-            i for i in range(n) if cyclically_between(s.points[(i - 1) % n], arc.start, s.points[i])
-        )
-    else:
-        first = next(i for i in inside if (i - 1) % n not in inside)
-    num = len(inside)
-    basef = sub_interval_functor(s.fibration.base, first, num)
+    if count:
+        basef = sub_interval_functor(s.fibration.base, i % n, count)
+    else:  # the arc sits inside the open stratum of its gap
+        point = make_poset_base(FinPoset.antichain(["t0"]))
+        basef = BaseFunctor(point, s.fibration.base, {"t0": f"s{(i - 1) % n}"}, {})
     return pullback_fibration(basef, s.fibration), basef
 
 

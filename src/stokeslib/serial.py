@@ -15,7 +15,7 @@ from .directions import ExactAngle, StokesDirection
 from .exactmath import GaussianRational, Matrix, rat, rat_str
 from .fibrations import FibrationMorphism, StokesFibration
 from .functors import StokesFunctor, cover_arrow_id, lift_arrow_id
-from .geometry import Arc, CircleSpace, ExponentialData, IrregularValue
+from .geometry import Arc, CircleSpace, ExponentialData, IrregularValue, build_circle_space
 from .posets import FinPoset, MonotoneMap
 
 
@@ -198,14 +198,14 @@ def circle_space_to_json(s: CircleSpace) -> dict:
 
 
 def circle_space_from_json(d) -> CircleSpace:
-    return CircleSpace(
-        exponential_from_json(d["data"]),
-        fibration_from_json(d["fibration"]),
-        tuple(angle_from_json(p) for p in d["points"]),
-        tuple(angle_from_json(a) for a in d["arc_samples"]),
-        {int(k): [tuple(pr) for pr in v] for k, v in d["provenance"].items()},
-        bool(d["degenerate"]),
-    )
+    """The circle space of ``d["data"]``, built again; ValueError unless the
+    rest of the document is that space's JSON (elementarity and the level
+    stages read its points, fibers and provenance)."""
+    space = build_circle_space(exponential_from_json(d["data"]))
+    want = circle_space_to_json(space)
+    if dumps(dict(d, data=want["data"])) != dumps(want):
+        raise ValueError("circle space document differs from the space built from its data")
+    return space
 
 
 def arc_to_json(a: Arc) -> dict:

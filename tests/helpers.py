@@ -818,3 +818,88 @@ def oracle_level_alpha(p, f: StokesFunctor, g: StokesFunctor, h: StokesFunctor) 
             ]
             alpha[(x, c)] = hstack_all(cols, pi_h.functor.dim(x, c)) @ inverse(map1)
     return alpha
+
+
+# ---------------------------------------------------------------------------
+# interval oracles for elementary arcs and covers: the implementation that
+# decided every arc by interval comparisons before the library read them off
+# the sorted points and their provenance
+
+
+def oracle_is_elementary_arc(s, arc) -> bool:
+    """Each unequal pair has exactly one Stokes point in the closed arc,
+    interior, with opposite strict orders on the two sides."""
+    from stokeslib.directions import angles_equal, rational_angle_between
+    from stokeslib.geometry import order_at, stokes_directions
+
+    if s.degenerate:
+        return True
+    for a, b in s.data.pairs():
+        va, vb = s.data.values[a], s.data.values[b]
+        dirs = stokes_directions(va, vb)
+        if arc.full:
+            return False  # 2m >= 2 locus points
+        if any(angles_equal(d, arc.start) or angles_equal(d, arc.end) for d in dirs):
+            return False
+        inside = [d for d in dirs if arc.contains_strictly(d)]
+        if len(inside) != 1:
+            return False
+        d0 = inside[0]
+        left = rational_angle_between(arc.start, d0)
+        right = rational_angle_between(d0, arc.end)
+        if {order_at(va, vb, left), order_at(va, vb, right)} != {"LT", "GT"}:
+            return False
+    return True
+
+
+def oracle_interiors_cover(s, arcs) -> bool:
+    """The open arcs cover the circle: probe every critical angle and a
+    rational angle between each consecutive pair of them."""
+    from stokeslib.directions import compare_angles, rational_angle_between, sort_angles
+
+    if any(a.full for a in arcs):
+        return True
+    if not arcs:
+        return False
+    critical = sort_angles([a.start for a in arcs] + [a.end for a in arcs] + list(s.points))
+    probes = list(critical)
+    for i in range(len(critical)):
+        j = (i + 1) % len(critical)
+        if compare_angles(critical[i], critical[j]) != 0:
+            probes.append(rational_angle_between(critical[i], critical[j]))
+    return all(any(a.contains_strictly(x) for a in arcs) for x in probes)
+
+
+def oracle_elementary_cover(s):
+    """The candidate search of ``elementary_cover``, every arc and every
+    cover decided by the interval oracles above."""
+    from stokeslib import Arc, ExactAngle
+    from stokeslib.directions import compare_angles, rational_angle_between
+    from stokeslib.geometry import leading_data
+
+    if s.degenerate:
+        return [Arc(None, None, full=True)]
+    e = s.data
+    m = max(int(leading_data(e.values[a], e.values[b])[0]) for a, b in e.pairs())
+    half = Fraction(1, 2 * m)
+    n = len(s.points)
+    centers = []
+    for i in range(n):
+        lo, hi = s.points[i], s.points[(i + 1) % n]
+        mid = rational_angle_between(lo, hi)
+        centers += [mid, rational_angle_between(lo, mid), rational_angle_between(mid, hi)]
+    candidates = [Arc(ExactAngle(c.t - half), ExactAngle(c.t + half)) for c in centers]
+    for i in range(n):
+        prev_mid = rational_angle_between(s.points[(i - 1) % n], s.points[i])
+        next_mid = rational_angle_between(s.points[i], s.points[(i + 1) % n])
+        if compare_angles(prev_mid, next_mid) != 0:
+            candidates.append(Arc(prev_mid, next_mid))
+    verified = [a for a in candidates if oracle_is_elementary_arc(s, a)]
+    if not oracle_interiors_cover(s, verified):
+        return None
+    pruned = list(verified)
+    for a in list(verified):
+        rest = [x for x in pruned if x is not a]
+        if rest and oracle_interiors_cover(s, rest):
+            pruned = rest
+    return pruned

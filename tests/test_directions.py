@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslib import (
     ExactAngle,
@@ -15,7 +17,7 @@ from stokeslib import (
     rational_angle_between,
     sort_angles,
 )
-from stokeslib.directions import as_exact
+from stokeslib.directions import as_exact, locate_angle
 
 G = GaussianRational.of
 ONE = G(1)
@@ -179,3 +181,108 @@ def test_invalid_directions_rejected():
         StokesDirection(ONE, 0, 0)
     with pytest.raises(ValueError):
         StokesDirection(ONE, 1, 2)
+
+
+def test_locate_angle_is_the_insertion_point():
+    pts = sort_angles([StokesDirection(G(2, -1), 3, k) for k in range(6)])
+    for i, p in enumerate(pts):
+        assert locate_angle(p, pts) == (i, True)
+    for j in range(40):
+        a = ExactAngle(Fraction(j, 20))
+        i, on = locate_angle(a, pts)
+        assert not on
+        assert all(compare_angles(p, a) < 0 for p in pts[:i])
+        assert all(compare_angles(a, p) < 0 for p in pts[i:])
+    assert locate_angle(ExactAngle(Fraction(1)), []) == (0, False)
+
+
+def _oracle_theta(c: GaussianRational, m: int, k: int):
+    """theta(c, m, k) in [0, 2*pi) at the caller's mpmath working precision;
+    a value within 2^-4000 of 2*pi is a rounded 0."""
+    arg = mpmath.atan2(mpmath.mpf(c.im.numerator) / c.im.denominator, mpmath.mpf(c.re.numerator) / c.re.denominator)
+    theta = ((arg % (2 * mpmath.pi) - mpmath.pi / 2 + k * mpmath.pi) / m) % (2 * mpmath.pi)
+    return 0 if 2 * mpmath.pi - theta < mpmath.mpf(2) ** -4000 else theta
+
+
+def _oracle_compare(x, y) -> int:
+    if abs(x - y) < mpmath.mpf(2) ** -4000:
+        return 0
+    return -1 if x < y else 1
+
+
+_coefficients = st.builds(
+    lambda re, im, p, q: G(Fraction(re, p), Fraction(im, q)),
+    st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]), st.sampled_from([1, 2, 3, 5, 7]),
+).filter(lambda c: not c.is_zero())
+
+
+@settings(max_examples=60)
+@given(c1=_coefficients, m1=st.integers(1, 3), k1=st.integers(0, 5), m2=st.integers(1, 3),
+       bits=st.integers(0, 120), scale=st.integers(1, 5))
+def test_compare_angles_matches_a_4096_bit_oracle_near_coincidence(c1, m1, k1, m2, bits, scale):
+    """Each second direction is rounded from d1's angle to ``bits`` bits, so one
+    of its 2*m2 residues lies within about 2^-bits of d1 (bits = 0: an exact
+    rescaled copy of d1); every verdict must match 4096-bit evaluation."""
+    d1 = StokesDirection(c1, m1, k1 % (2 * m1))
+    with mpmath.workprec(4096):
+        t1 = _oracle_theta(d1.c, d1.m, d1.k)
+        if bits == 0:
+            c2, m2 = c1 * G(scale), m1
+        else:
+            arg = m2 * t1 + mpmath.pi / 2
+            unit = mpmath.mpf(2) ** bits
+            c2 = G(*(Fraction(int(mpmath.nint(scale * f(arg) * unit)), int(unit)) for f in (mpmath.cos, mpmath.sin)))
+        want = [_oracle_compare(t1, _oracle_theta(c2, m2, k)) for k in range(2 * m2)]
+    got = [compare_angles(d1, StokesDirection(c2, m2, k)) for k in range(2 * m2)]
+    assert got == want
+    assert 0 in want or bits > 0
+
+
+def test_negative_non_dyadic_coefficients_are_enclosed():
+    # an outward-rounded enclosure of -1/3 has its floor below its ceiling
+    d = StokesDirection(G(Fraction(-1, 3), Fraction(1, 5)), 2, 1)
+    assert compare_angles(d, d.shifted(1)) == -1
+    assert pair_sign_at(d.c, 2, rational_angle_between(d, d.shifted(1))) != 0
+
+
+def test_global_mpmath_precision_is_never_touched():
+    """The public functions of directions and geometry leave mpmath.mp.prec
+    and mpmath.iv.prec as they found them, and answer the same whatever they are."""
+    from stokeslib import (
+        Arc, ExponentialData, IrregularValue, build_circle_space, build_polyhedral_space,
+        check_polyhedral_elementarity, elementary_cover, is_elementary_arc, kummer_pullback, leading_data,
+        order_at, pole_level_structure, restrict_functor_to_arc, restrict_to_arc, serial, stokes_directions,
+        AffineForm, angles_equal,
+    )
+    from stokeslib.directions import angle_iv
+    from stokeslib.fixtures import rank_one_one_functor, two_value_exponential
+
+    def run():
+        v = {"v0": IrregularValue.zero(), "v1": IrregularValue.of((3, G(2, -1))), "v2": IrregularValue.of((3, G(3)))}
+        d1, d2 = StokesDirection(G(2, -1), 3, 1), StokesDirection(G(1, 2), 2, 1)
+        e = ExponentialData(v)
+        cs = build_circle_space(e)
+        two = build_circle_space(two_value_exponential())
+        arc = Arc(ExactAngle(Fraction(1, 4)), ExactAngle(Fraction(3, 4)))
+        poly = build_polyhedral_space([AffineForm.of([1], 0)], ["-", "0", "+"], {("a", "b"): (0, "+")})
+        return [
+            compare_angles(d1, d2), compare_directions(d1, d2), angles_equal(d1, d1.shifted(6)), as_exact(d1),
+            locate_angle(d2, cs.points), sort_angles([d1, d2, ExactAngle(Fraction(1))]), pair_sign_at(d1.c, 3, d2),
+            cyclically_between(d1, d2, ExactAngle(0)), rational_angle_between(d1, d2), angle_iv(d1, 128)._mpi_,
+            leading_data(v["v1"], v["v2"]), order_at(v["v1"], v["v2"], d2), stokes_directions(v["v0"], v["v1"]),
+            kummer_pullback(e, 2).values, serial.dumps(serial.circle_space_to_json(cs)),
+            [stage.target.fibers for stage in pole_level_structure(cs).stages], elementary_cover(cs),
+            is_elementary_arc(two, arc), restrict_to_arc(two, arc)[0].fibers,
+            restrict_functor_to_arc(two, arc, rank_one_one_functor(two)).spaces,
+            check_polyhedral_elementarity(poly),
+        ]
+
+    want = run()
+    saved = mpmath.mp.prec, mpmath.iv.prec
+    try:
+        mpmath.mp.prec, mpmath.iv.prec = 20, 30
+        got = run()
+        assert (mpmath.mp.prec, mpmath.iv.prec) == (20, 30)
+    finally:
+        mpmath.mp.prec, mpmath.iv.prec = saved
+    assert got == want

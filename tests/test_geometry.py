@@ -26,6 +26,7 @@ from stokeslib import (
     order_at,
     pole_level_structure,
     pullback_fibration,
+    rational_angle_between,
     restrict_functor_to_arc,
     restrict_to_arc,
     split_global,
@@ -37,13 +38,32 @@ from stokeslib import (
 from stokeslib.directions import as_exact
 from stokeslib.fixtures import rank_one_one_functor, two_value_exponential
 
-from helpers import fibrations_isomorphic_up_to_rotation, random_standard_functor
+from helpers import (
+    fibrations_isomorphic_up_to_rotation,
+    oracle_elementary_cover,
+    oracle_interiors_cover,
+    oracle_is_elementary_arc,
+    random_standard_functor,
+)
 
 G = GaussianRational.of
 IV = IrregularValue
 ZERO = IV.zero()
 ZM1 = IV.of((1, G(1)))
 ZM2 = IV.of((2, G(1)))
+# {0, (2-i) z^-3, 3 z^-3}: 18 points, some closer than 2^-53 to their neighbours' samples
+N3_PLAIN = {"v0": ZERO, "v1": IV.of((3, G(2, -1))), "v2": IV.of((3, G(3)))}
+# small value sets on which the interval oracles finish in well under a second each
+ORACLE_SETS = [
+    {"a": ZERO, "b": ZM1},
+    {"u": ZERO, "v": ZM1, "w": ZM2},
+    {"a": ZERO, "b": ZM1, "c": IV.of((1, G(0, 1))), "d": ZM2},
+    {"v0": ZERO, "v1": IV.of((1, G(3, 2)))},
+    {"v0": ZERO, "v1": IV.of((3, G(2, -3)), (2, G(1, 2)))},
+    {"v0": ZERO, "v1": IV.of((1, G(2, 2))), "v2": IV.of((2, G(-1, 3)))},
+    {"v0": ZERO, "v1": IV.of((1, G(-2, 2))), "v2": IV.of((1, G(-2, 1)))},
+    {"v0": ZERO, "v1": IV.of((2, G(1, 1))), "v2": IV.of((3, G(-1, 1)))},
+]
 
 
 def test_leading_data_examples():
@@ -392,3 +412,137 @@ def test_polyhedral_rejects_incomplete_pair_data():
     forms = [AffineForm.of([1], 0)]
     with pytest.raises(ValueError):
         build_polyhedral_space(forms, ["-", "0", "+"], {("a", "b"): (0, "+"), ("a", "c"): (0, "+")})
+
+
+def test_cubic_three_value_set_gets_a_certified_cover():
+    """Building this circle or its cover raised RuntimeError while interval
+    endpoints were read at 53 bits."""
+    cs = build_circle_space(ExponentialData(N3_PLAIN))
+    assert len(cs.points) == 18 and validate_fibration(cs.fibration)[0]
+    assert pole_level_structure(cs).validate()[0]
+    cover = elementary_cover(cs)
+    assert len(cover) == 7
+    assert all(oracle_is_elementary_arc(cs, a) for a in cover)
+    assert oracle_interiors_cover(cs, cover)
+
+
+def _gap_angles(cs, g: int) -> list:
+    """Three exact angles inside the open gap from point g to point g+1."""
+    lo, mid, hi = cs.points[g], cs.arc_samples[g], cs.points[(g + 1) % len(cs.points)]
+    return [rational_angle_between(lo, mid), mid, rational_angle_between(mid, hi)]
+
+
+def _drawn_arcs(cs, rng, count: int) -> list:
+    """Arcs with random exact ends, an end on a Stokes point, both ends in one
+    gap (either way round), ends across angle 0, and gap-to-gap arcs."""
+    n = len(cs.points)
+    arcs = []
+    while len(arcs) < count:
+        kind = rng.randrange(5)
+        g, h = rng.randrange(n), rng.randrange(n)
+        if kind == 0:
+            ends = [ExactAngle(Fraction(rng.randrange(720), 360)) for _ in range(2)]
+        elif kind == 1:
+            ends = [cs.points[g], rng.choice(_gap_angles(cs, h))]
+            rng.shuffle(ends)
+        elif kind == 2:
+            ends = rng.sample(_gap_angles(cs, g), 2)
+        elif kind == 3:
+            ends = [ExactAngle(2 - Fraction(rng.randint(1, 90), 360)), ExactAngle(Fraction(rng.randint(1, 90), 360))]
+        else:
+            ends = [rng.choice(_gap_angles(cs, g)), rng.choice(_gap_angles(cs, h))]
+        if compare_angles(*ends) != 0:
+            arcs.append(Arc(*ends))
+    return arcs
+
+
+@pytest.mark.parametrize("values", ORACLE_SETS[:3] + [N3_PLAIN])
+def test_arc_verdicts_match_the_interval_oracle(values):
+    cs = build_circle_space(ExponentialData(values))
+    arcs = _drawn_arcs(cs, random.Random(len(cs.points)), 60) + (elementary_cover(cs) or [])
+    verdicts = [is_elementary_arc(cs, a) for a in arcs]
+    assert verdicts == [oracle_is_elementary_arc(cs, a) for a in arcs]
+    for arc in arcs:
+        if any(compare_angles(p, end) == 0 for p in cs.points for end in (arc.start, arc.end)):
+            with pytest.raises(ValueError):
+                restrict_to_arc(cs, arc)
+            continue
+        objects = restrict_to_arc(cs, arc)[1].object_map
+        names = ["t0"] + [x for j in range(len(objects) // 2) for x in (f"q{j}", f"t{j + 1}")]
+        assert [objects[x] for x in names] == _oracle_strata(cs, arc)
+
+
+def _oracle_strata(cs, arc) -> list:
+    """The strata that an arc with ends off the points meets, counterclockwise from its start."""
+    n = len(cs.points)
+    g = next(g for g in range(n) if cyclically_between(cs.points[g], arc.start, cs.points[(g + 1) % n]))
+    out = [f"s{g}"]
+    for r in range(1, n + 1):
+        if not arc.contains_strictly(cs.points[(g + r) % n]):
+            break
+        out += [f"p{(g + r) % n}", f"s{(g + r) % n}"]
+    return out
+
+
+def test_elementary_cover_equals_the_interval_oracle():
+    from stokeslib import geometry
+
+    for values in ORACLE_SETS:
+        cs = build_circle_space(ExponentialData(values))
+        cover = elementary_cover(cs)
+        assert cover == oracle_elementary_cover(cs)
+        # interiors_cover against its oracle on subsets of elementary arcs
+        pool = [a for a in _drawn_arcs(cs, random.Random(7), 40) + (cover or []) if is_elementary_arc(cs, a)]
+        rng = random.Random(len(pool))
+        for t in range(12):
+            arcs = [a for a in pool if rng.random() < (0.5 if t % 2 else 0.9)]
+            located = [(a, geometry._locate_arc(cs, a)) for a in arcs]
+            assert geometry._interiors_cover(cs, located) == oracle_interiors_cover(cs, arcs)
+
+
+def test_elementarity_and_covers_read_the_sorted_points(monkeypatch):
+    """is_elementary_arc and the cover check make no angle evaluation beyond
+    locating the arc ends; a pruned cover loses coverage without any one arc."""
+    from stokeslib import geometry
+
+    cs = build_circle_space(ExponentialData(N3_PLAIN))
+    cover = elementary_cover(cs)
+    arcs = _drawn_arcs(cs, random.Random(3), 30) + cover
+    want = [oracle_is_elementary_arc(cs, a) for a in arcs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no angle evaluation expected")
+
+    for name in ("rational_angle_between", "order_at", "stokes_directions", "pair_sign_at"):
+        monkeypatch.setattr(geometry, name, refuse)
+    assert [is_elementary_arc(cs, a) for a in arcs] == want
+    located = [(a, geometry._locate_arc(cs, a)) for a in cover]
+    assert geometry._interiors_cover(cs, located)
+    for i in range(len(located)):
+        assert not geometry._interiors_cover(cs, located[:i] + located[i + 1 :])
+
+
+def test_circle_and_cover_bytes_are_pinned():
+    """The circle-space JSON and the cover of three value sets with irrational
+    Stokes directions, as SHA-256 digests recorded before the interval reads
+    became exact: the arc samples come from endpoints rounded to 53 bits at
+    the first precision, as they did then."""
+    import hashlib
+
+    from stokeslib import serial
+
+    pinned = [
+        ({"v0": ZERO, "v1": IV.of((1, G(2, 2))), "v2": IV.of((2, G(-1, 3)))},
+         "e799ed052625cb8480ee4d4e3166c3b4a1612bb954be7138b9ff30a5c46f2617"),
+        ({"v0": ZERO, "v1": IV.of((1, G(3, -2))), "v2": IV.of((2, G(3, -2)), (1, G(2)))},
+         "ea8417513a77a4863406501786fe1c3a88abfdbff6a5c6317fd47c9bf843db40"),
+        ({"v0": ZERO, "v1": IV.of((2, G(-2, 2)), (1, G(-1, -2))), "v2": IV.of((1, G(-2, -3))),
+          "v3": IV.of((2, G(3, 3)), (1, G(1, 1)))},
+         "3745f93008996eb34373767aa5ac02e16f7ca930438bd1f7e6b81cb453556d81"),
+    ]
+    for values, want in pinned:
+        cs = build_circle_space(ExponentialData(values))
+        cover = elementary_cover(cs)
+        text = serial.dumps(serial.circle_space_to_json(cs))
+        text += serial.dumps(None if cover is None else [serial.arc_to_json(a) for a in cover])
+        assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -423,3 +423,64 @@ def test_cli_jobs_never_exceed_the_inputs(tmp_path, space, monkeypatch):
         (tmp_path / f"f{i}.json").write_text(serial.dumps(serial.functor_to_json(f)))
     assert run_cli(tmp_path, "split", *paths, "--jobs", "100000") == 1
     assert seen == [2]
+
+
+def _tampered_spaces(doc: dict) -> dict:
+    """Copies of a circle-space document with one field edited by hand."""
+    import copy
+
+    edited = copy.deepcopy(doc)
+    edited["provenance"]["0"] = []
+    swapped = copy.deepcopy(doc)
+    swapped["points"][0], swapped["points"][1] = swapped["points"][1], swapped["points"][0]
+    flipped = copy.deepcopy(doc)
+    leq = flipped["fibration"]["fibers"]["s0"]["leq"]
+    flipped["fibration"]["fibers"]["s0"]["leq"] = [list(col) for col in zip(*leq)]
+    return {"provenance": edited, "points": swapped, "fiber order": flipped}
+
+
+def test_cli_rejects_a_circle_space_that_its_data_does_not_give(tmp_path, capsys):
+    """cover, elementary and the --space level commands rebuild the space from
+    its values and exit 2 on any difference; an untouched document keeps the
+    stdout it had before the check."""
+    import hashlib
+    import random
+    from helpers import random_standard_functor, three_value_circle
+
+    two = serial.circle_space_to_json(two_value_circle())
+    arc = {"start": {"kind": "exact", "t": "1/4"}, "end": {"kind": "exact", "t": "3/4"}}
+    cs3 = three_value_circle()
+    f_path = tmp_path / "f.json"
+    f_path.write_text(serial.dumps(serial.functor_to_json(
+        random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2)))))
+
+    def cover(doc):
+        path = tmp_path / "space.json"
+        path.write_text(serial.dumps(doc))
+        return run_cli(tmp_path, "cover", "--input", str(path))
+
+    def elementary(doc):
+        path = tmp_path / "arc.json"
+        path.write_text(serial.dumps({"space": doc, "arc": arc}))
+        return run_cli(tmp_path, "elementary", "--input", str(path))
+
+    def level(cmd):
+        def run(doc):
+            path = tmp_path / "space3.json"
+            path.write_text(serial.dumps(doc))
+            return run_cli(tmp_path, cmd, "--input", str(f_path), "--space", str(path), "--level", "1")
+        return run
+
+    capsys.readouterr()
+    assert cover(two) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "74c4c3746809faf6f48f73286289a5434444d75ae87b1dc9e2e4bbaed5de5af2"
+    )
+    assert elementary(two) == 0 and json.loads(capsys.readouterr().out) == {"elementary": True}
+    cases = [(cover, two), (elementary, two)]
+    cases += [(level(cmd), serial.circle_space_to_json(cs3)) for cmd in ("grade", "induce", "disassemble")]
+    for run, doc in cases:
+        for what, bad in _tampered_spaces(doc).items():
+            assert run(bad) == 2, what
+            captured = capsys.readouterr()
+            assert captured.out == "" and "differs from the space built from its data" in captured.err
