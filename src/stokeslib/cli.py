@@ -399,7 +399,7 @@ def _run_single(fn, args) -> int:
     except InputError as exc:
         _say(f"input error: {exc}")
         return 2
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         _say(f"semantic error: {exc}")
         return 2
 

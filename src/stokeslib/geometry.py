@@ -164,6 +164,13 @@ class CircleSpace:
     a certified rational angle strictly inside arc s{i} (from points[i]
     counterclockwise to points[i+1]); ``provenance[i]`` lists the pairs
     whose Stokes directions produced points[i].
+
+    The strata orders come from the sorted directions, and no sign is
+    evaluated: for the leading term (m, c) of a - b, Re(c * exp(-i*m*theta))
+    has simple zeros and is positive just counterclockwise of theta(c, m, k)
+    with k even.  So on s{i}, b < a when the pair's last direction at or
+    before points[i] has k even and a < b when k is odd; on p{i} the pairs
+    of ``provenance[i]`` are incomparable and the others keep their order.
     """
 
     data: ExponentialData
@@ -174,26 +181,21 @@ class CircleSpace:
     degenerate: bool = False
 
 
-def _order_poset(e: ExponentialData, where: Angle) -> FinPoset:
-    names = e.names
-    rel = []
-    for a, b in e.pairs():
-        verdict = order_at(e.values[a], e.values[b], where)
-        if verdict == "LT":
-            rel.append((a, b))
-        elif verdict == "GT":
-            rel.append((b, a))
-    return FinPoset.from_relation(names, rel)
-
-
 def build_circle_space(e: ExponentialData) -> CircleSpace:
-    """Points at all pairwise Stokes directions, pointwise orders on strata."""
+    """Points at the sorted Stokes directions, tagged (pair, k); orders by the parity of k."""
     if len(e.values) < 1:
         raise ValueError("at least one irregular value is required")
     if e.ramification != 1:
         raise ValueError("ramified data; apply kummer_pullback first")
-    dirs = {(a, b): stokes_directions(e.values[a], e.values[b]) for a, b in e.pairs()}
-    points = sort_angles([d for ds in dirs.values() for d in ds])
+    points, hits = [], []
+    for a, b in e.pairs():
+        q, c = leading_data(e.values[a], e.values[b])
+        for d in (StokesDirection(c, int(q), k) for k in range(2 * int(q))):
+            i, on_point = locate_angle(d, points)
+            if not on_point:
+                points.insert(i, d)
+                hits.insert(i, [])
+            hits[i].append(((a, b), d.k))
     if not points:
         # single value: a degenerate one-point circle carrying the constant fibration
         base = make_circle_base(1)
@@ -202,23 +204,29 @@ def build_circle_space(e: ExponentialData) -> CircleSpace:
         fib = StokesFibration(base, {"p0": only, "s0": only}, {"p0+": ident, "p0-": ident})
         return CircleSpace(e, fib, (ExactAngle(Fraction(0)),), (ExactAngle(Fraction(1)),), {0: []}, True)
     n = len(points)
-    base = make_circle_base(n)
     samples = [rational_angle_between(points[i], points[(i + 1) % n]) for i in range(n)]
-    fibers = {f"p{i}": _order_poset(e, theta) for i, theta in enumerate(points)}
-    fibers.update({f"s{i}": _order_poset(e, sample) for i, sample in enumerate(samples)})
+
+    def order(last: dict, incomparable=()) -> FinPoset:
+        rel = [(a, b) if k % 2 else (b, a) for (a, b), k in last.items() if (a, b) not in incomparable]
+        return FinPoset.from_relation(e.names, rel)
+
+    # each pair's last direction overall fixes its order on s{n-1}, the arc through 0
+    last = {pair: k for here in hits for pair, k in here}
+    fibers = {}
+    for i, here in enumerate(hits):
+        fibers[f"p{i}"] = order(last, {pair for pair, _ in here})
+        last.update(here)
+        fibers[f"s{i}"] = order(last)
     transitions = {}
     for i in range(n):
         ident = {name: name for name in e.names}
         transitions[f"p{i}+"] = MonotoneMap(fibers[f"p{i}"], fibers[f"s{i}"], ident)
         transitions[f"p{i}-"] = MonotoneMap(fibers[f"p{i}"], fibers[f"s{(i - 1) % n}"], ident)
-    fib = StokesFibration(base, fibers, transitions)
+    fib = StokesFibration(make_circle_base(n), fibers, transitions)
     ok, why = validate_fibration(fib)
     if not ok:
         raise AssertionError(f"constructed circle fibration invalid: {why}")
-    provenance = {i: [] for i in range(n)}
-    for pair, ds in dirs.items():
-        for d in ds:
-            provenance[locate_angle(d, points)[0]].append(pair)
+    provenance = {i: [pair for pair, _ in here] for i, here in enumerate(hits)}
     return CircleSpace(e, fib, tuple(points), tuple(samples), provenance, False)
 
 
@@ -499,11 +507,13 @@ def build_polyhedral_space(forms, sign_vectors, pair_data) -> PolyhedralSpace:
     pairs = {(a, b) for i, a in enumerate(names) for b in names[i + 1 :]}
     normalized = {}
     for (a, b), (idx, orient) in pair_data.items():
+        if not 0 <= idx < len(forms) or orient not in ("+", "-"):
+            raise ValueError("inconsistent pair data")
         key = (a, b) if (a, b) in pairs else (b, a)
         if key != (a, b):
             orient = "+" if orient == "-" else "-"
-        if not 0 <= idx < len(forms) or orient not in "+-":
-            raise ValueError("inconsistent pair data")
+        if key in normalized:
+            raise ValueError(f"pair {key} is declared twice")
         normalized[key] = (idx, orient)
     if set(normalized) != pairs:
         raise ValueError("every unordered pair needs exactly one form assignment")

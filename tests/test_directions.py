@@ -242,7 +242,18 @@ def test_negative_non_dyadic_coefficients_are_enclosed():
     # an outward-rounded enclosure of -1/3 has its floor below its ceiling
     d = StokesDirection(G(Fraction(-1, 3), Fraction(1, 5)), 2, 1)
     assert compare_angles(d, d.shifted(1)) == -1
-    assert pair_sign_at(d.c, 2, rational_angle_between(d, d.shifted(1))) != 0
+    assert pair_sign_at(d.c, 2, rational_angle_between(d, d.shifted(1))) == -1
+
+
+@settings(max_examples=40)
+@given(c=_coefficients, m=st.integers(1, 3))
+def test_sign_just_past_a_direction_is_the_parity_of_k(c, m):
+    """Re(c * exp(-i*m*theta)) is +1 on the arc from theta(c, m, k) to the next
+    direction when k is even and -1 when k is odd: the fact that
+    build_circle_space reads every order from."""
+    for k in range(2 * m):
+        d = StokesDirection(c, m, k)
+        assert pair_sign_at(c, m, rational_angle_between(d, d.shifted(1))) == (-1) ** k
 
 
 def test_global_mpmath_precision_is_never_touched():

@@ -202,9 +202,10 @@ def test_pole_level_structure_examples():
 
 
 def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
-    """Every fine fiber holds order_at at its stratum, so the quotient stages
-    read their orders off the fibers with no angle evaluation, and equal the
-    stages built by evaluating order_at again."""
+    """build_circle_space evaluates no sign, and every fine fiber it reads off
+    the sorted directions holds order_at at its stratum, so the quotient
+    stages read their orders off the fibers with no angle evaluation, and
+    equal the stages built by evaluating order_at again."""
     from stokeslib import directions, geometry
     from helpers import oracle_quotient_fibration, stratum_angle
 
@@ -214,8 +215,18 @@ def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
         {"a": ZERO, "b": ZM1, "c": IrregularValue.of((1, G(0, 1))), "d": ZM2},
         {"a": ZERO, "b": IrregularValue.of((2, G(1, 1)), (1, G(1))), "c": IrregularValue.of((1, G(-1))),
          "d": IrregularValue.of((2, G(0, 2)))},
-    ]
+    ] + ORACLE_SETS + [N3_PLAIN]
+    calls = []
+
+    def counting(name):
+        return lambda *args, **kw: calls.append(name)
+
+    signs = ((geometry, "order_at"), (geometry, "pair_sign_at"), (directions, "pair_sign_at"))
+    for module, name in signs:
+        monkeypatch.setattr(module, name, counting(name))
     circles = [build_circle_space(ExponentialData(values)) for values in value_sets]
+    monkeypatch.undo()
+    assert calls == []
     for cs in circles:
         e = cs.data
         for x in cs.fibration.base.objects:
@@ -225,13 +236,7 @@ def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
                     if a != b:
                         want = order_at(e.values[a], e.values[b], stratum_angle(cs, x)) == "LT"
                         assert fine.lt(a, b) == want, (x, a, b)
-    calls = []
-
-    def counting(name):
-        return lambda *args, **kw: calls.append(name)
-
-    for module, name in ((geometry, "order_at"), (geometry, "pair_sign_at"), (geometry, "compare_angles"),
-                         (directions, "pair_sign_at"), (directions, "compare_angles")):
+    for module, name in signs + ((geometry, "compare_angles"), (directions, "compare_angles")):
         monkeypatch.setattr(module, name, counting(name))
     levels = [pole_level_structure(cs) for cs in circles]
     monkeypatch.undo()
@@ -412,6 +417,14 @@ def test_polyhedral_rejects_incomplete_pair_data():
     forms = [AffineForm.of([1], 0)]
     with pytest.raises(ValueError):
         build_polyhedral_space(forms, ["-", "0", "+"], {("a", "b"): (0, "+"), ("a", "c"): (0, "+")})
+    # one pair declared in both orientations: neither declaration may silently win
+    for orient in "+-":
+        with pytest.raises(ValueError):
+            build_polyhedral_space(forms, ["-", "0", "+"], {("a", "b"): (0, "+"), ("b", "a"): (0, orient)})
+    # an orientation is one of the two signs, not a string that contains one
+    for orient in ("", "+-", "0"):
+        with pytest.raises(ValueError):
+            build_polyhedral_space(forms, ["-", "0", "+"], {("b", "a"): (0, orient)})
 
 
 def test_cubic_three_value_set_gets_a_certified_cover():

@@ -104,6 +104,19 @@ def test_cli_input_errors(tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"values": {}}))
     assert run_cli(tmp_path, "is-stokes", "--input", str(wrong)) == 2
+    # a list where an object is expected, and a pair declared in both orientations
+    poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"]}
+    space = serial.circle_space_to_json(two_value_circle())
+    for command, doc in [
+        ("build-circle", {"values": []}),
+        ("cover", {"values": []}),
+        ("cover", {"data": {"values": []}}),
+        ("elementary", {"space": space, "arc": []}),
+        ("elementary", {**poly, "pairs": []}),
+        ("elementary", {**poly, "pairs": {"a|b": {"form": 0, "orient": "+"}, "b|a": {"form": 0, "orient": "-"}}}),
+    ]:
+        wrong.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(wrong)) == 2, (command, doc)
 
 
 def test_cli_grade_induce_disassemble_assemble(tmp_path):
