@@ -24,7 +24,6 @@ from .exactmath import (
     inverse,
     is_invertible,
     kernel_basis,
-    mat_rank,
     mat_solve,
     sparse_kernel_basis,
     sparse_rank,
@@ -183,18 +182,14 @@ class Splitting:
     def blocks(self, le, a) -> list:
         return [b for b in self.order if le(b, a)]
 
-    def top_offset(self, le, b) -> int:
-        """Column offset of the top block inside theta[b]."""
-        return sum(self.dims[c] for c in self.blocks(le, b) if c != b)
 
-
-def split_fiber(f: StokesFunctor, x: str, rng=None) -> Splitting | None:
+def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
     """Split coordinates at x, or None when the fiber does not split.
 
     The fiber splits iff for every a the dimension of F(a) equals the sum
     over b <= a of dim F(b) / (sum of images from below b); the canonical
     comparison built from any sections of the top quotients is then
-    automatically invertible.  ``rng`` randomizes the section choices.
+    automatically invertible.
     """
     fib = f.fibration.fiber(x)
     order = fib.linear_extension()
@@ -209,14 +204,11 @@ def split_fiber(f: StokesFunctor, x: str, rng=None) -> Splitting | None:
             rad = Matrix.zeros(d_b, 0)
         idx = column_space_complement(rad)
         dims[b] = len(idx)
-        sec = Matrix(
+        sections[b] = Matrix(
             d_b,
             dims[b],
             tuple(Fraction(1 if i == idx[j] else 0) for i in range(d_b) for j in range(dims[b])),
         )
-        if rng is not None and dims[b] > 0:
-            sec = _random_section(rad, d_b, dims[b], rng)
-        sections[b] = sec
     for a in fib.elements:
         if f.dim(x, a) != sum(dims[b] for b in fib.elements if fib.le(b, a)):
             return None
@@ -234,15 +226,6 @@ def split_fiber(f: StokesFunctor, x: str, rng=None) -> Splitting | None:
     return Splitting(x, order, dims, sections, theta, theta_inv)
 
 
-def _random_section(rad: Matrix, d: int, k: int, rng) -> Matrix:
-    want = mat_rank(rad) + k
-    for _ in range(64):
-        cand = Matrix(d, k, tuple(Fraction(rng.randint(-3, 3)) for _ in range(d * k)))
-        if mat_rank(rad.hstack(cand)) == want:
-            return cand
-    raise RuntimeError("failed to draw a random complement")
-
-
 def punctual_splittings(f: StokesFunctor) -> dict | None:
     out = {}
     for x in f.fibration.base.objects:
@@ -255,14 +238,6 @@ def punctual_splittings(f: StokesFunctor) -> dict | None:
 
 def is_punctually_split(f: StokesFunctor) -> bool:
     return punctual_splittings(f) is not None
-
-
-def top_projection(f: StokesFunctor, s: Splitting, a: str) -> Matrix:
-    """The quotient F(x, a) -> V_a in the coordinates of the splitting."""
-    fib = f.fibration.fiber(s.at)
-    off = s.top_offset(fib.le, a)
-    rows = list(range(off, off + s.dims[a]))
-    return s.theta_inv[a].submatrix(rows, list(range(s.theta_inv[a].cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,32 +301,11 @@ def stokes_witness(f: StokesFunctor) -> tuple[bool, str]:
 # standard split coordinates, induction and graduation
 
 
-@dataclass
-class _StdForm:
-    functor: StokesFunctor
-    splittings: dict  # base object -> Splitting
-
-    def std_lift_top_columns(self, base_arrow: str, b: str) -> Matrix:
-        """The lift at b in split coordinates, on the top block V_b.
-
-        This is theta_inv . lift . theta restricted to the columns of V_b;
-        those columns of theta[b] are the section at b.
-        """
-        f = self.functor
-        arr = f.fibration.base.arrow(base_arrow)
-        t = f.fibration.transition(base_arrow)
-        return (
-            self.splittings[arr.target].theta_inv[t(b)]
-            @ f.lift_matrix(base_arrow, b)
-            @ self.splittings[arr.source].sections[b]
-        )
-
-
-def _standardize(f: StokesFunctor) -> _StdForm:
+def _standardize(f: StokesFunctor) -> dict:
     splittings = punctual_splittings(f)
     if splittings is None:
         raise ValueError("functor is not punctually split")
-    return _StdForm(f, splittings)
+    return splittings
 
 
 @dataclass
@@ -389,6 +343,15 @@ def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> 
     return Matrix(tgt.total, m.cols, tuple(x for row in out for x in row))
 
 
+def _project(s: Splitting, le, a, onto: _BlockIndex) -> Matrix:
+    """F(x, a) onto the tops that onto names, in the coordinates of s.
+
+    The rows of theta_inv[a] for the tops below a, placed at their blocks of
+    onto; the top V_a alone is the quotient F(x, a) -> V_a.
+    """
+    return _embed_rows(_BlockIndex(s.blocks(le, a), s.dims), onto, s.theta_inv[a])
+
+
 @dataclass
 class InducedFunctor:
     """Induction along a fibrationwise map, with its units.
@@ -406,17 +369,18 @@ def _identity_at(x: str):
     return lambda a: a
 
 
-def _induce_split(std: _StdForm, target: StokesFibration, q) -> InducedFunctor:
-    """Induce std.functor onto target along the element maps q(x), on split coordinates.
+def _induce_split(f: StokesFunctor, splittings: dict, target: StokesFibration, q) -> InducedFunctor:
+    """Induce f onto target along the element maps q(x), on split coordinates.
 
     The value at (x, c) is the ordered sum of the tops V_b with q(x)(b) <= c.
     Graduation is the case target = graded fibration and q = identity: the
     graded order keeps exactly the same-level blocks below each element.
+    The tops of f are the case target = underlying set fibration.
     """
-    source = std.functor.fibration
+    source = f.fibration
     blocks = {}
     for x in target.base.objects:
-        s = std.splittings[x]
+        s = splittings[x]
         fib = target.fiber(x)
         qx = q(x)
         for c in fib.elements:
@@ -429,25 +393,22 @@ def _induce_split(std: _StdForm, target: StokesFibration, q) -> InducedFunctor:
     for arr in target.base.arrows:
         t = target.transition(arr.name)
         f_i = source.transition(arr.name)
-        s_y = std.splittings[arr.target]
-        fib_iy = source.fiber(arr.target)
+        s_x, s_y = splittings[arr.source], splittings[arr.target]
+        le_y = source.fiber(arr.target).le
         for a in target.fiber(arr.source).elements:
             tgt_bi = blocks[(arr.target, t(a))]
             # the top V_b lands in the blocks below f_i(b); those tgt_bi lacks are dropped
             cols = [
-                _embed_rows(_BlockIndex(s_y.blocks(fib_iy.le, f_i(b)), s_y.dims), tgt_bi,
-                            std.std_lift_top_columns(arr.name, b))
+                _project(s_y, le_y, f_i(b), tgt_bi) @ f.lift_matrix(arr.name, b) @ s_x.sections[b]
                 for b in blocks[(arr.source, a)].labels
             ]
             arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
     units = {}
     for x in target.base.objects:
-        s = std.splittings[x]
         fib = source.fiber(x)
         qx = q(x)
         for a in fib.elements:
-            small = _BlockIndex(s.blocks(fib.le, a), s.dims)
-            units[(x, a)] = _embed_rows(small, blocks[(x, qx(a))]) @ s.theta_inv[a]
+            units[(x, a)] = _project(splittings[x], fib.le, a, blocks[(x, qx(a))])
     spaces = {key: bi.total for key, bi in blocks.items()}
     return InducedFunctor(StokesFunctor(target, spaces, arrows), units)
 
@@ -457,7 +418,7 @@ def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor
         raise ValueError("functor does not live on the source of the morphism")
     if not p.squares_commute():
         raise ValueError("fibration morphism squares do not commute")
-    return _induce_split(_standardize(f), p.target, p.map_at)
+    return _induce_split(f, _standardize(f), p.target, p.map_at)
 
 
 def induce(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
@@ -471,7 +432,7 @@ def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
         raise ValueError("functor does not live on the source of the morphism")
     if not all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows):
         raise ValueError("not a graduation morphism: target set-fibration is not locally constant")
-    return _induce_split(_standardize(f), graded_fibration(p), _identity_at)
+    return _induce_split(f, _standardize(f), graded_fibration(p), _identity_at)
 
 
 def grade(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
@@ -519,15 +480,15 @@ def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
-    std = _standardize(f)
+    splittings = _standardize(f)
     if f.fibration != p.source:
         raise ValueError("functor does not live on the source of the morphism")
-    g = _induce_split(std, p.target, p.map_at).functor
-    h = _induce_split(std, graded_fibration(p), _identity_at).functor
+    g = _induce_split(f, splittings, p.target, p.map_at).functor
+    h = _induce_split(f, splittings, graded_fibration(p), _identity_at).functor
     alpha = {}
     for x in p.target.base.objects:
         px = p.map_at(x)
-        s = std.splittings[x]
+        s = splittings[x]
         for c in p.target.fiber(x).elements:
             alpha[(x, c)] = Matrix.identity(sum(s.dims[b] for b in s.order if px(b) == c))
     return g, h, alpha
@@ -545,11 +506,11 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     # the graduation of g over the target, and the induction of h to the
     # underlying sets of the target, read off one splitting of each
     if g.fibration != p.target:
-        raise ValueError("functor does not live on the source of the morphism")
-    split_g = _standardize(g).splittings
+        raise ValueError("g does not live on the target of the morphism")
+    split_g = _standardize(g)
     if h.fibration != graded_fibration(p):
-        raise ValueError("functor does not live on the source of the morphism")
-    split_h = _standardize(h).splittings
+        raise ValueError("h does not live on the graded fibration of the morphism")
+    split_h = _standardize(h)
     src = p.source
     for key, m in alpha.items():
         if not is_invertible(m):
@@ -560,12 +521,12 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     for x in src.base.objects:
         px = p.map_at(x)
         s_g, s_h = split_g[x], split_h[x]
-        le_h = h.fibration.fiber(x).le
+        le_g, le_h = g.fibration.fiber(x).le, h.fibration.fiber(x).le
         for a in src.fiber(x).elements:
             c = px(a)
-            q_side = alpha[(x, c)] @ top_projection(g, s_g, c)
+            q_side = alpha[(x, c)] @ _project(s_g, le_g, c, _BlockIndex([c], s_g.dims))
             same_class = _BlockIndex([b for b in s_h.order if px(b) == c], s_h.dims)
-            r_side = _embed_rows(_BlockIndex(s_h.blocks(le_h, a), s_h.dims), same_class) @ s_h.theta_inv[a]
+            r_side = _project(s_h, le_h, a, same_class)
             glue = q_side.hstack(-r_side)
             k = kernel_basis(glue)
             kernels[(x, a)] = k
@@ -578,24 +539,21 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
             raise ArithmeticError("structure map does not preserve the assembled kernels")
         return sol
 
+    # h on the source of p, with zero maps across level jumps
+    h_src = grade_right_adjoint(p, h).arrows
     arrows = {}
     for x in src.base.objects:
         px = p.map_at(x)
         for a, b in src.fiber(x).covers():
-            gm = g.fiber_matrix(x, px(a), px(b))
-            if px(a) == px(b):
-                hm = h.fiber_matrix(x, a, b)
-            else:
-                hm = Matrix.zeros(h.dim(x, b), h.dim(x, a))
-            arrows[cover_arrow_id(x, a, b)] = induced_on_kernels((x, a), (x, b), gm, hm)
+            aid = cover_arrow_id(x, a, b)
+            arrows[aid] = induced_on_kernels((x, a), (x, b), g.fiber_matrix(x, px(a), px(b)), h_src[aid])
     for arr in src.base.arrows:
         f_i = src.transition(arr.name)
         px = p.map_at(arr.source)
         for a in src.fiber(arr.source).elements:
-            gm = g.lift_matrix(arr.name, px(a))
-            hm = h.lift_matrix(arr.name, a)
-            arrows[lift_arrow_id(arr.name, a)] = induced_on_kernels(
-                (arr.source, a), (arr.target, f_i(a)), gm, hm
+            aid = lift_arrow_id(arr.name, a)
+            arrows[aid] = induced_on_kernels(
+                (arr.source, a), (arr.target, f_i(a)), g.lift_matrix(arr.name, px(a)), h_src[aid]
             )
     return StokesFunctor(src, spaces, arrows)
 
@@ -613,24 +571,9 @@ class GlobalSplitting:
 
 
 def top_functor(f: StokesFunctor, splittings: dict) -> StokesFunctor:
-    """The graduation of f as a functor on the underlying set fibration."""
-    iset = fiberwise_set(f.fibration)
-    spaces = {}
-    arrows = {}
-    for x in iset.base.objects:
-        s = splittings[x]
-        for a in iset.fiber(x).elements:
-            spaces[(x, a)] = s.dims[a]
-    for arr in iset.base.arrows:
-        t = f.fibration.transition(arr.name)
-        for a in f.fibration.fiber(arr.source).elements:
-            m = (
-                top_projection(f, splittings[arr.target], t(a))
-                @ f.lift_matrix(arr.name, a)
-                @ splittings[arr.source].sections[a]
-            )
-            arrows[lift_arrow_id(arr.name, a)] = m
-    return StokesFunctor(iset, spaces, arrows)
+    """The graduation of f as a functor on the underlying set fibration:
+    the induction onto it along the identity, so each value is one top."""
+    return _induce_split(f, splittings, fiberwise_set(f.fibration), _identity_at).functor
 
 
 def split_global(f: StokesFunctor) -> GlobalSplitting | None:
@@ -658,8 +601,9 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     # keeps the elimination cheap
     for x in fib.base.objects:
         s = splittings[x]
+        le = fib.fiber(x).le
         for a in fib.fiber(x).elements:
-            q = top_projection(f, s, a)
+            q = _project(s, le, a, _BlockIndex([a], s.dims))
             d_top = s.dims[a]
             for r in range(d_top):
                 for c in range(d_top):

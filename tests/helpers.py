@@ -458,6 +458,66 @@ def conjugate_functor(f: StokesFunctor, rng) -> StokesFunctor:
 
 
 # ---------------------------------------------------------------------------
+# splittings and their tops, drawn or built by hand
+
+
+def random_splitting(f: StokesFunctor, x: str, rng):
+    """split_fiber(f, x) with every section redrawn as section . U plus
+    sum over c < b of F(c < b) . R_c, for U random invertible and R_c random.
+
+    The class of the new section in the top quotient at b is the old one
+    times U, so it is still a section; theta and theta_inv are rebuilt.
+    """
+    import dataclasses
+
+    from stokeslib import inverse, split_fiber
+    from stokeslib.exactmath import hstack_all
+
+    s = split_fiber(f, x)
+    fib = f.fibration.fiber(x)
+    sections = {}
+    for b in s.order:
+        k = s.dims[b]
+        sec = s.sections[b] @ random_invertible(k, rng)
+        for c in s.order:
+            if fib.lt(c, b):
+                d_c = f.dim(x, c)
+                r = Matrix(d_c, k, tuple(Fraction(rng.randint(-2, 2)) for _ in range(d_c * k)))
+                sec = sec + f.fiber_matrix(x, c, b) @ r
+        sections[b] = sec
+    theta = {
+        a: hstack_all([f.fiber_matrix(x, b, a) @ sections[b] for b in s.blocks(fib.le, a)], f.dim(x, a))
+        for a in fib.elements
+    }
+    return dataclasses.replace(s, sections=sections, theta=theta, theta_inv={a: inverse(m) for a, m in theta.items()})
+
+
+def oracle_top_functor(f: StokesFunctor, splittings: dict) -> StokesFunctor:
+    """The tops of f on the underlying set fibration, built by hand.
+
+    The lift at a is the lift of f between the section at a and the rows of
+    theta_inv at t(a) that carry the top V_t(a), found by their offset: the
+    construction in use before the tops were read as an induction.
+    """
+    from stokeslib.fibrations import fiberwise_set
+
+    iset = fiberwise_set(f.fibration)
+    spaces = {(x, a): splittings[x].dims[a] for x in iset.base.objects for a in iset.fiber(x).elements}
+    arrows = {}
+    for arr in iset.base.arrows:
+        t = f.fibration.transition(arr.name)
+        s = splittings[arr.target]
+        le = f.fibration.fiber(arr.target).le
+        for a in f.fibration.fiber(arr.source).elements:
+            b = t(a)
+            off = sum(s.dims[c] for c in s.order if le(c, b) and c != b)
+            inv = s.theta_inv[b]
+            top = inv.submatrix(list(range(off, off + s.dims[b])), list(range(inv.cols)))
+            arrows[lift_arrow_id(arr.name, a)] = top @ f.lift_matrix(arr.name, a) @ splittings[arr.source].sections[a]
+    return StokesFunctor(iset, spaces, arrows)
+
+
+# ---------------------------------------------------------------------------
 # random level morphisms (by construction)
 
 
@@ -502,6 +562,20 @@ def three_value_circle():
 
     G = GaussianRational.of
     values = {"u": IrregularValue.zero(), "v": IrregularValue.of((1, G(1))), "w": IrregularValue.of((2, G(1)))}
+    return build_circle_space(ExponentialData(values))
+
+
+def four_value_circle():
+    """The circle space of the values {0, z^-1, i z^-1, z^-2}, named a, b, c, d."""
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+
+    G = GaussianRational.of
+    values = {
+        "a": IrregularValue.zero(),
+        "b": IrregularValue.of((1, G(1))),
+        "c": IrregularValue.of((1, G(0, 1))),
+        "d": IrregularValue.of((2, G(1))),
+    }
     return build_circle_space(ExponentialData(values))
 
 

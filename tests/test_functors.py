@@ -30,6 +30,7 @@ from helpers import (
     oracle_split_verdict,
     oracle_transition_failures,
     random_functor_with_dims,
+    random_splitting,
     random_standard_functor,
 )
 
@@ -356,10 +357,43 @@ def test_cocartesian_verdict_independent_of_splitting():
         assert validate_functor(f)[0]
         verdicts = set()
         for seed in (1, 2, 3):
-            srng = random.Random(seed)
-            s = split_fiber(f, "p1", rng=srng)
+            s = random_splitting(f, "p1", random.Random(seed))
+            assert s.sections != split_fiber(f, "p1").sections
             verdicts.add(is_cocartesian_at(f, "p1-", s))
         assert len(verdicts) == 1
+
+
+def test_top_functor_and_split_global_graded_match_the_oracle():
+    """top_functor, read as the induction onto the underlying set fibration, and
+    the graded part of split_global equal the tops built by hand, on the
+    fixtures and on conjugated standard functors over the two-, three- and
+    four-value circles (those with one nonzero top are globally split)."""
+    from stokeslib import top_functor
+    from stokeslib.functors import punctual_splittings
+    from helpers import four_value_circle, oracle_top_functor, three_value_circle
+
+    rng = random.Random(41)
+    two = two_value_circle()
+    cases = [rank_one_one_functor(two), nonsplit_witness(two)]
+    for cs in (two, three_value_circle(), four_value_circle()):
+        names = cs.data.names
+        for trial in range(4):
+            if trial < 2:
+                dims = {n: rng.choice([1, 2]) for n in names}
+            else:
+                dims = {n: 0 for n in names}
+                dims[names[trial % len(names)]] = trial - 1
+            cases.append(random_standard_functor(cs.fibration, dims, rng, conjugate=True))
+    split = 0
+    for f in cases:
+        splittings = punctual_splittings(f)
+        want = oracle_top_functor(f, splittings)
+        assert top_functor(f, splittings) == want
+        gs = split_global(f)
+        if gs is not None:
+            split += 1
+            assert gs.graded == want
+    assert split >= 7
 
 
 def test_stokes_examples_and_split_global():

@@ -236,9 +236,9 @@ def test_level_disassemble_splits_each_functor_once(monkeypatch):
     split = functors.split_fiber
     calls = []
 
-    def counting(functor, x, rng=None):
+    def counting(functor, x):
         calls.append(functor)
-        return split(functor, x, rng=rng)
+        return split(functor, x)
 
     monkeypatch.setattr(functors, "split_fiber", counting)
     g, h, alpha = level_disassemble(stage, f)
@@ -249,6 +249,22 @@ def test_level_disassemble_splits_each_functor_once(monkeypatch):
     level_assemble(stage, g, h, alpha)
     assert len(calls) == 2 * n
     assert [sum(c is functor for c in calls) for functor in (g, h)] == [n, n]
+
+
+def test_level_assemble_names_the_misplaced_piece():
+    """g must live on the target of p and h on its graded fibration; swapping
+    them, or passing g twice, is refused with the piece named."""
+    from stokeslib import pole_level_structure
+    from helpers import random_standard_functor, three_value_circle
+
+    cs3 = three_value_circle()
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    stage = pole_level_structure(cs3).stages[0]
+    g, h, alpha = level_disassemble(stage, f)
+    with pytest.raises(ValueError, match="g does not live on the target of the morphism"):
+        level_assemble(stage, h, g, alpha)
+    with pytest.raises(ValueError, match="h does not live on the graded fibration of the morphism"):
+        level_assemble(stage, g, g, alpha)
 
 
 def test_level_alpha_is_the_identity_of_the_oracle():

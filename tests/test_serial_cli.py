@@ -107,7 +107,16 @@ def test_cli_input_errors(tmp_path):
     # a list where an object is expected, and a pair declared in both orientations
     poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"]}
     space = serial.circle_space_to_json(two_value_circle())
+    # a rational with a zero denominator, in a value, an arc end and a matrix entry
+    zero_q = {"values": {"a": [{"q": "1/0", "c": {"re": "1", "im": "0"}}]}}
+    bad_end = {"start": {"kind": "exact", "t": "1/0"}, "end": {"kind": "exact", "t": "3/4"}}
+    bad_entry = serial.functor_to_json(rank_one_one_functor(two_value_circle()))
+    next(iter(bad_entry["arrows"].values()))["entries"][0] = "1/0"
     for command, doc in [
+        ("build-circle", zero_q),
+        ("directions", zero_q),
+        ("elementary", {"space": space, "arc": bad_end}),
+        ("is-stokes", bad_entry),
         ("build-circle", {"values": []}),
         ("cover", {"values": []}),
         ("cover", {"data": {"values": []}}),
@@ -160,8 +169,9 @@ def test_cli_grade_induce_disassemble_assemble(tmp_path):
 
 
 def test_cli_level_commands_stdout_is_pinned(tmp_path, capsys):
-    """The exact stdout bytes of grade, induce, disassemble and assemble on the
-    three-value circle of the test above, as SHA-256 digests."""
+    """The exact stdout bytes of grade, induce, disassemble, assemble, split and
+    is-stokes on the three-value circle of the test above, and of split on the
+    two-value fixtures (not split, and split), as SHA-256 digests."""
     import hashlib
     import random
     from helpers import random_standard_functor, three_value_circle
@@ -177,9 +187,24 @@ def test_cli_level_commands_stdout_is_pinned(tmp_path, capsys):
         "induce": "d0a5ca647a082f688503cb7fb01a78ca66babd61465f6e010739c778c00f6aa7",
         "disassemble": "5fad02f317e55842774b8d46c00d3515c24fc7c7c283c81bc0850b3efc07807b",
         "assemble": "a70920126ab16bb67526f545c1a5503249ffd375fb51753ee7ab875adb99aa73",
+        "split": "7850de8ef91c6adab7459789ff7e21a9c01c80f36ea8e994b91f6c97914e2b92",
+        "is-stokes": "ce43e6b30fcfd28955cedac94a08a53b9e1677960a38bc67c0dfdeaa0f3abf2d",
+        "split nonsplit_witness": "7850de8ef91c6adab7459789ff7e21a9c01c80f36ea8e994b91f6c97914e2b92",
+        "split rank_one_one_functor": "c4ae19ccd97bdd3d3e97287da6fd27b5958ffb5c3cf5db8f4e6d77ab70edb3e6",
     }
     got = {}
     capsys.readouterr()
+    two = two_value_circle()
+    for cmd, functor, code in [
+        ("split", f, 1),
+        ("is-stokes", f, 0),
+        ("split nonsplit_witness", nonsplit_witness(two), 1),
+        ("split rank_one_one_functor", rank_one_one_functor(two), 0),
+    ]:
+        path = tmp_path / "verdict.json"
+        path.write_text(serial.dumps(serial.functor_to_json(functor)))
+        assert run_cli(tmp_path, cmd.split()[0], "--input", str(path)) == code, cmd
+        got[cmd] = capsys.readouterr().out
     for cmd in ("grade", "induce", "disassemble"):
         assert run_cli(tmp_path, cmd, "--input", str(f_path), "--space", str(space_path), "--level", "1") == 0
         got[cmd] = capsys.readouterr().out
