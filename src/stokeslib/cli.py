@@ -84,6 +84,17 @@ def _load_functor(path: str):
     return _functor_from_doc(_read_json(path), path)
 
 
+def _load_fibration(path: str):
+    try:
+        fib = serial.fibration_from_json(_read_json(path))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"{path}: not a fibration document ({exc})") from exc
+    ok, why = validate_fibration(fib)
+    if not ok:
+        raise InputError(f"{path}: invalid fibration: {why}")
+    return fib
+
+
 def _load_morphism(args):
     if args.morphism:
         doc = _read_json(args.morphism)
@@ -300,7 +311,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    fib = serial.fibration_from_json(_read_json(args.input))
+    fib = _load_fibration(args.input)
     out, corr, flat = collapse_refinement(fib)
     _emit(
         {
@@ -332,7 +343,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    fib = serial.fibration_from_json(_read_json(args.input))
+    fib = _load_fibration(args.input)
     secs = cocartesian_sections(fib)
     payload = {"sections": [s.choice for s in secs]}
     if len(secs) >= 2:

@@ -83,30 +83,54 @@ def section_is_valid(i: StokesFibration, s: CocartesianSection) -> bool:
 
 
 def cocartesian_sections(i: StokesFibration) -> list[CocartesianSection]:
-    """Exhaustive list, by backtracking over the base objects."""
+    """Exhaustive list, by backtracking over the base objects.
+
+    The objects are visited breadth first along the arrows, so each arrow is
+    checked as soon as both of its ends are chosen, and the search keeps an
+    explicit stack instead of recursing.  The sections are listed by the
+    index of each choice in its fiber, read in base-object order.
+    """
     objects = list(i.base.objects)
-    arrows = list(i.base.arrows)
-    sections: list[CocartesianSection] = []
-
-    def extend(idx: int, partial: dict) -> None:
-        if idx == len(objects):
-            sections.append(CocartesianSection(dict(partial)))
-            return
-        x = objects[idx]
-        for a in i.fiber(x).elements:
-            partial[x] = a
-            ok = True
-            for arr in arrows:
-                if arr.source in partial and arr.target in partial:
-                    if i.transition(arr.name)(partial[arr.source]) != partial[arr.target]:
-                        ok = False
-                        break
-            if ok:
-                extend(idx + 1, partial)
-            del partial[x]
-
-    extend(0, {})
-    return sections
+    if not objects:
+        return [CocartesianSection({})]
+    neighbours: dict = {x: [] for x in objects}
+    for arr in i.base.arrows:
+        neighbours[arr.source].append(arr.target)
+        neighbours[arr.target].append(arr.source)
+    order: list = []
+    position: dict = {}
+    for root in objects:
+        queue = [root]
+        for x in queue:
+            if x not in position:
+                position[x] = len(order)
+                order.append(x)
+                queue.extend(neighbours[x])
+    # each arrow is checked at the later of its two ends
+    checks: list = [[] for _ in order]
+    for arr in i.base.arrows:
+        checks[max(position[arr.source], position[arr.target])].append(
+            (i.transition(arr.name), arr.source, arr.target)
+        )
+    found = []
+    choice: dict = {}
+    stack = [iter(i.fiber(order[0]).elements)]
+    while stack:
+        k = len(stack) - 1
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+            choice.pop(order[k], None)
+            continue
+        choice[order[k]] = a
+        if all(t(choice[src]) == choice[tgt] for t, src, tgt in checks[k]):
+            if k + 1 < len(order):
+                stack.append(iter(i.fiber(order[k + 1]).elements))
+            else:
+                found.append({x: choice[x] for x in objects})
+    index = {x: {a: n for n, a in enumerate(i.fiber(x).elements)} for x in objects}
+    found.sort(key=lambda c: tuple(index[x][c[x]] for x in objects))
+    return [CocartesianSection(c) for c in found]
 
 
 def stokes_locus(i: StokesFibration, s: CocartesianSection, t: CocartesianSection) -> set[str]:

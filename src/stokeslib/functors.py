@@ -183,41 +183,39 @@ class Splitting:
         return [b for b in self.order if le(b, a)]
 
 
+def _comparison(f: StokesFunctor, y: str, a: str, parts) -> Matrix:
+    """The canonical map into F(y, a) out of the ordered sum of the blocks m
+    of ``parts`` = [(c, m)], c <= a, each sent on through F(c <= a): theta,
+    the specialization matrices and the iso of a global splitting."""
+    return hstack_all([f.fiber_matrix(y, c, a) @ m for c, m in parts], f.dim(y, a))
+
+
 def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
     """Split coordinates at x, or None when the fiber does not split.
 
     The fiber splits iff for every a the dimension of F(a) equals the sum
-    over b <= a of dim F(b) / (sum of images from below b); the canonical
-    comparison built from any sections of the top quotients is then
-    automatically invertible.
+    over b <= a of dim F(b) / (sum of images of the covers into b); the
+    canonical comparison built from any sections of the top quotients is
+    then automatically invertible.
     """
     fib = f.fibration.fiber(x)
     order = fib.linear_extension()
+    covers = fib.covers()
     dims = {}
     sections = {}
     for b in order:
-        below = [c for c in fib.elements if fib.lt(c, b)]
         d_b = f.dim(x, b)
-        if below:
-            rad = hstack_all([f.fiber_matrix(x, c, b) for c in below], d_b)
-        else:
-            rad = Matrix.zeros(d_b, 0)
-        idx = column_space_complement(rad)
+        # on a functor every F(c <= b), c < b, factors through a cover into b
+        idx = column_space_complement(hstack_all([f.cover_matrix(x, u, v) for u, v in covers if v == b], d_b))
         dims[b] = len(idx)
-        sections[b] = Matrix(
-            d_b,
-            dims[b],
-            tuple(Fraction(1 if i == idx[j] else 0) for i in range(d_b) for j in range(dims[b])),
-        )
+        sections[b] = Matrix.identity(d_b).submatrix(range(d_b), idx)
     for a in fib.elements:
         if f.dim(x, a) != sum(dims[b] for b in fib.elements if fib.le(b, a)):
             return None
     theta = {}
     theta_inv = {}
     for a in fib.elements:
-        blocks = [b for b in order if fib.le(b, a)]
-        cols = [f.fiber_matrix(x, b, a) @ sections[b] for b in blocks]
-        th = hstack_all(cols, f.dim(x, a))
+        th = _comparison(f, x, a, [(b, sections[b]) for b in order if fib.le(b, a)])
         try:
             theta_inv[a] = inverse(th)
         except ValueError:
@@ -255,15 +253,17 @@ def specialization_matrix(f: StokesFunctor, base_arrow: str, s: Splitting) -> di
         raise ValueError("splitting is not at the source of the arrow")
     t = f.fibration.transition(base_arrow)
     target_fiber = f.fibration.fiber(arr.target)
-    out = {}
-    for a in target_fiber.elements:
-        blocks = [b for b in s.order if target_fiber.le(t(b), a)]
-        cols = [
-            f.fiber_matrix(arr.target, t(b), a) @ f.lift_matrix(base_arrow, b) @ s.sections[b]
-            for b in blocks
-        ]
-        out[a] = hstack_all(cols, f.dim(arr.target, a))
-    return out
+    lifted = [(t(b), f.lift_matrix(base_arrow, b) @ s.sections[b]) for b in s.order]
+    return {
+        a: _comparison(f, arr.target, a, [(c, m) for c, m in lifted if target_fiber.le(c, a)])
+        for a in target_fiber.elements
+    }
+
+
+def _first_singular(f: StokesFunctor, base_arrow: str, s: Splitting):
+    """The first target element whose specialization matrix is singular, or None."""
+    spec = specialization_matrix(f, base_arrow, s)
+    return next((a for a, m in spec.items() if not is_invertible(m)), None)
 
 
 def is_cocartesian_at(f: StokesFunctor, base_arrow: str, splitting: Splitting | None = None) -> bool | None:
@@ -272,8 +272,7 @@ def is_cocartesian_at(f: StokesFunctor, base_arrow: str, splitting: Splitting | 
     s = splitting if splitting is not None else split_fiber(f, arr.source)
     if s is None:
         return None
-    spec = specialization_matrix(f, base_arrow, s)
-    return all(is_invertible(m) for m in spec.values())
+    return _first_singular(f, base_arrow, s) is None
 
 
 def is_stokes(f: StokesFunctor) -> bool:
@@ -290,10 +289,9 @@ def stokes_witness(f: StokesFunctor) -> tuple[bool, str]:
             return False, f"not punctually split at {x}"
         splittings[x] = s
     for arr in f.fibration.base.arrows:
-        spec = specialization_matrix(f, arr.name, splittings[arr.source])
-        for a, m in spec.items():
-            if not is_invertible(m):
-                return False, f"singular specialization matrix at arrow {arr.name}, element {a}"
+        a = _first_singular(f, arr.name, splittings[arr.source])
+        if a is not None:
+            return False, f"singular specialization matrix at arrow {arr.name}, element {a}"
     return True, "ok"
 
 
@@ -416,6 +414,12 @@ def _induce_split(f: StokesFunctor, splittings: dict, target: StokesFibration, q
 def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
     if f.fibration != p.source:
         raise ValueError("functor does not live on the source of the morphism")
+    ok, why = validate_fibration(p.target)
+    if not ok:
+        raise ValueError(f"target fibration: {why}")
+    bad = next((x for x in p.source.base.objects if not p.map_at(x).is_valid()), None)
+    if bad is not None:
+        raise ValueError(f"the map of fibers at {bad} is not monotone")
     if not p.squares_commute():
         raise ValueError("fibration morphism squares do not commute")
     return _induce_split(f, _standardize(f), p.target, p.map_at)
@@ -591,57 +595,33 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     # sigma: tops -> f restricted to the set fibration, natural over every base arrow
     on_sets = StokesFunctor(tops.fibration, f.spaces, {k: f.arrows[k] for k in tops.arrows})
     naturality, var_offset, total = _naturality_rows(tops, on_sets)
-
-    def sigma_entry(key, i, j) -> int:
-        return var_offset[key] + i * splittings[key[0]].dims[key[1]] + j
-
     rhs_col = total
     rows: list[dict] = []
     # q . sigma = identity at every total object; these rows go first, which
-    # keeps the elimination cheap
+    # keeps the elimination cheap (sigma_(x, a) is row-major, d_top wide)
     for x in fib.base.objects:
         s = splittings[x]
         le = fib.fiber(x).le
         for a in fib.fiber(x).elements:
             q = _project(s, le, a, _BlockIndex([a], s.dims))
-            d_top = s.dims[a]
+            d_top, off = s.dims[a], var_offset[(x, a)]
             for r in range(d_top):
                 for c in range(d_top):
-                    row: dict[int, Fraction] = {}
-                    for k in range(f.dim(x, a)):
-                        if q.at(r, k):
-                            e = sigma_entry((x, a), k, c)
-                            row[e] = row.get(e, Fraction(0)) + q.at(r, k)
+                    row = {off + k * d_top + c: q.at(r, k) for k in range(f.dim(x, a)) if q.at(r, k)}
                     if r == c:
                         row[rhs_col] = Fraction(-1)
                     rows.append(row)
     rows.extend(naturality)
-    if total:
-        sol = sparse_solve(rows, rhs_col)
-        if sol is None:
-            return None
-        sol_entries = [Fraction(0)] * total
-        for col, v in sol:
-            sol_entries[col] = v
-    else:
-        sol_entries = []
-    sigmas = {}
-    for x in fib.base.objects:
-        s = splittings[x]
-        for a in fib.fiber(x).elements:
-            d_f, d_top = f.dim(x, a), s.dims[a]
-            off = var_offset[(x, a)]
-            sigmas[(x, a)] = Matrix(
-                d_f, d_top,
-                tuple(sol_entries[off + i * d_top + j] for i in range(d_f) for j in range(d_top)),
-            )
+    sol = sparse_solve(rows, rhs_col)
+    if sol is None:
+        return None
+    sigmas = _read_eta(dict(sol), var_offset, tops, on_sets)
     iso = {}
     for x in fib.base.objects:
         fibx = fib.fiber(x)
         s = splittings[x]
         for a in fibx.elements:
-            cols = [f.fiber_matrix(x, b, a) @ sigmas[(x, b)] for b in s.blocks(fibx.le, a)]
-            th = hstack_all(cols, f.dim(x, a))
+            th = _comparison(f, x, a, [(b, sigmas[(x, b)]) for b in s.blocks(fibx.le, a)])
             if not is_invertible(th):
                 raise ArithmeticError("feasible section produced a singular comparison")
             iso[(x, a)] = th
@@ -691,30 +671,32 @@ def _naturality_rows(f: StokesFunctor, g: StokesFunctor) -> tuple[list, dict, in
     return rows, offsets, total
 
 
+def _read_eta(vec: dict, offsets: dict, f: StokesFunctor, g: StokesFunctor) -> dict:
+    """The matrices eta_(x, a): F(x, a) -> G(x, a) of a solution vector of
+    ``_naturality_rows(f, g)``, given as {unknown: value}."""
+    eta = {}
+    for key, off in offsets.items():
+        d_g, d_f = g.spaces[key], f.spaces[key]
+        eta[key] = Matrix(
+            d_g, d_f, tuple(vec.get(off + i * d_f + j, Fraction(0)) for i in range(d_g) for j in range(d_f))
+        )
+    return eta
+
+
 def natural_transformation_basis(f: StokesFunctor, g: StokesFunctor) -> list[dict]:
     """A basis of the space of natural transformations f -> g."""
     if f.fibration != g.fibration:
         raise ValueError("functors live on different fibrations")
     rows, offsets, total = _naturality_rows(f, g)
-    if total == 0:
-        return []
-    kernel = sparse_kernel_basis(rows, total)
-    out = []
-    for vec in kernel:
-        eta = {}
-        for key in offsets:
-            d_g, d_f = g.spaces[key], f.spaces[key]
-            off = offsets[key]
-            eta[key] = Matrix(
-                d_g, d_f,
-                tuple(vec.get(off + i * d_f + jj, Fraction(0)) for i in range(d_g) for jj in range(d_f)),
-            )
-        out.append(eta)
-    return out
+    return [_read_eta(vec, offsets, f, g) for vec in sparse_kernel_basis(rows, total)]
 
 
-def natural_isomorphism(f: StokesFunctor, g: StokesFunctor, seed: int = 7, tries: int = 64) -> dict | None:
-    """A natural isomorphism f -> g found by exact solve, or None."""
+def natural_isomorphism(f: StokesFunctor, g: StokesFunctor) -> dict | None:
+    """A natural isomorphism f -> g found by exact solve, or None.
+
+    Up to 64 draws (seed 7) of integer combinations of a basis of natural
+    transformations, with coefficients of size 1 to 8 (growing every 8 draws).
+    """
     import random
 
     if f.fibration != g.fibration:
@@ -724,20 +706,20 @@ def natural_isomorphism(f: StokesFunctor, g: StokesFunctor, seed: int = 7, tries
         return None
     if all(f.spaces[k] == 0 for k in keys):
         return {k: Matrix.zeros(0, 0) for k in keys}
-    basis = natural_transformation_basis(f, g)
+    rows, offsets, total = _naturality_rows(f, g)
+    basis = sparse_kernel_basis(rows, total)
     if not basis:
         return None
-    rng = random.Random(seed)
-    for attempt in range(tries):
+    rng = random.Random(7)
+    for attempt in range(64):
         bound = 1 + attempt // 8
         coeffs = [Fraction(rng.randint(-bound, bound)) for _ in basis]
-        eta = {}
-        for key in keys:
-            m = Matrix.zeros(g.spaces[key], f.spaces[key])
-            for co, b in zip(coeffs, basis):
-                if co:
-                    m = m + b[key].scale(co)
-            eta[key] = m
+        vec: dict = {}
+        for co, b in zip(coeffs, basis):
+            if co:
+                for col, v in b.items():
+                    vec[col] = vec.get(col, Fraction(0)) + co * v
+        eta = _read_eta(vec, offsets, f, g)
         if all(is_invertible(eta[k]) for k in keys):
             return eta
     return None

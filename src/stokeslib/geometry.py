@@ -256,9 +256,13 @@ def pole_level_structure(s: CircleSpace) -> LevelStructure:
     With r the maximal pairwise leading order, stage k (from r down to 1)
     identifies values whose difference has order <= r - k; every stage is
     a level graduation morphism over the circle base, with the unique
-    quotient order making the fiber maps level morphisms.
+    quotient order making the fiber maps level morphisms.  A class is named
+    by joining its members with '+', so no value name may contain '+'.
     """
     e = s.data
+    bad = next((n for n in e.names if "+" in n), None)
+    if bad is not None:
+        raise ValueError(f"value name {bad!r} contains '+', which joins the names of a level class")
     orders = [leading_data(e.values[a], e.values[b])[0] for a, b in e.pairs()]
     r = int(max(orders)) if orders else 1
 

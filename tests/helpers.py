@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from stokeslib import (
+    CocartesianSection,
     FinPoset,
     Matrix,
     MonotoneMap,
@@ -24,6 +25,7 @@ from stokeslib import (
     nondegenerate_chains,
 )
 from stokeslib.bases import BaseMorphism
+from stokeslib.exactmath import column_space_complement, hstack_all
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,27 @@ def oracle_split_verdict(f: StokesFunctor, x: str) -> bool:
     return True
 
 
+def oracle_split_sections(f: StokesFunctor, x: str):
+    """(dims, sections) of the tops at x, or None when the fiber does not
+    split: the radical at b is spanned by every composite F(c <= b), c < b."""
+    fib = f.fibration.fiber(x)
+    dims = {}
+    sections = {}
+    for b in fib.linear_extension():
+        below = [c for c in fib.elements if fib.lt(c, b)]
+        d_b = f.dim(x, b)
+        rad = hstack_all([f.fiber_matrix(x, c, b) for c in below], d_b) if below else Matrix.zeros(d_b, 0)
+        idx = column_space_complement(rad)
+        dims[b] = len(idx)
+        sections[b] = Matrix(
+            d_b, dims[b], tuple(Fraction(1 if i == idx[j] else 0) for i in range(d_b) for j in range(dims[b]))
+        )
+    for a in fib.elements:
+        if f.dim(x, a) != sum(dims[b] for b in fib.elements if fib.le(b, a)):
+            return None
+    return dims, sections
+
+
 def _transpose(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 
@@ -295,6 +318,53 @@ def canonical_posets(n: int):
             seen.add(canon)
             out.append(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# cocartesian sections by plain backtracking
+
+
+def oracle_cocartesian_sections(i: StokesFibration) -> list:
+    """Every section, by recursive backtracking over the base objects in order,
+    checking every arrow whose ends are both chosen after each choice."""
+    objects = list(i.base.objects)
+    arrows = list(i.base.arrows)
+    sections = []
+
+    def extend(idx: int, partial: dict) -> None:
+        if idx == len(objects):
+            sections.append(CocartesianSection(dict(partial)))
+            return
+        x = objects[idx]
+        for a in i.fiber(x).elements:
+            partial[x] = a
+            ok = True
+            for arr in arrows:
+                if arr.source in partial and arr.target in partial:
+                    if i.transition(arr.name)(partial[arr.source]) != partial[arr.target]:
+                        ok = False
+                        break
+            if ok:
+                extend(idx + 1, partial)
+            del partial[x]
+
+    extend(0, {})
+    return sections
+
+
+def random_set_fibration(base, rng, names=("a", "b", "c")) -> StokesFibration:
+    """Antichain fibers of random nonempty subsets of names, and transitions
+    that keep a name where the target has it and otherwise pick one at random.
+    Over a poset base the transitions need not be path independent."""
+    fibers = {x: FinPoset.antichain(sorted(rng.sample(names, rng.randint(1, len(names))))) for x in base.objects}
+    transitions = {}
+    for arr in base.arrows:
+        src, tgt = fibers[arr.source], fibers[arr.target]
+        assignment = {
+            a: a if a in tgt.elements and rng.random() < 0.7 else rng.choice(tgt.elements) for a in src.elements
+        }
+        transitions[arr.name] = MonotoneMap(src, tgt, assignment)
+    return StokesFibration(base, fibers, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -279,3 +279,48 @@ def test_collapse_no_redundant_strata_is_identity():
     out, corr, flat = collapse_refinement(fib)
     assert not flat
     assert out.base.n == 2
+
+
+def test_sections_match_plain_backtracking():
+    """The breadth-first search lists the same sections, in the same order,
+    as recursive backtracking over the objects in order."""
+    import random
+    from helpers import all_labeled_posets, oracle_cocartesian_sections, random_set_fibration
+
+    rng = random.Random(11)
+    bases = [make_circle_base(n) for n in (1, 2, 3, 4)]
+    bases += [make_poset_base(p) for n in (1, 2, 3) for p in all_labeled_posets(n)]
+    checked = 0
+    for trial in range(300):
+        fib = random_set_fibration(bases[trial % len(bases)], rng)
+        got = cocartesian_sections(fib)
+        assert got == oracle_cocartesian_sections(fib)
+        assert [list(s.choice) for s in got] == [list(fib.base.objects)] * len(got)
+        checked += len(got) > 1
+    assert checked > 20
+
+
+def test_sections_of_a_five_value_circle_are_fast():
+    """Choosing every point before any arc took over 30 s on this circle."""
+    import time
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+
+    G = GaussianRational.of
+    values = {
+        "v0": IrregularValue.zero(),
+        "v1": IrregularValue.of((2, G(-3, -2))),
+        "v2": IrregularValue.of((1, G(3, 1))),
+        "v3": IrregularValue.of((2, G(-1, -3))),
+        "v4": IrregularValue.of((1, G(1, 3))),
+    }
+    fib = build_circle_space(ExponentialData(values)).fibration
+    assert fib.base.n == 18
+    start = time.perf_counter()
+    secs = cocartesian_sections(fib)
+    assert time.perf_counter() - start < 2.0
+    assert [set(s.choice.values()) for s in secs] == [{v} for v in values]
+
+
+def test_sections_of_a_long_circle_do_not_recurse():
+    fib = trivial_circle_fibration(600, FinPoset.antichain(["a"]))
+    assert [s.choice for s in cocartesian_sections(fib)] == [{x: "a" for x in fib.base.objects}]

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stokeslib import (
     FinPoset,
     Matrix,
@@ -24,9 +27,11 @@ from stokeslib import (
 from stokeslib.fixtures import nonsplit_witness, rank_one_one_functor, two_value_circle
 
 from helpers import (
+    canonical_posets,
     mat_rows,
     oracle_is_invertible,
     oracle_lift_failures,
+    oracle_split_sections,
     oracle_split_verdict,
     oracle_transition_failures,
     random_functor_with_dims,
@@ -446,3 +451,25 @@ def test_empty_fibration_all_verdicts_true():
     assert validate_functor(f)[0]
     assert is_stokes(f)
     assert split_global(f) is not None
+
+
+# every poset on one to four elements, up to isomorphism
+_SPLIT_POSETS = [p for n in (1, 2, 3, 4) for p in canonical_posets(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(_SPLIT_POSETS),
+    dims=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+    prefer_split=st.booleans(),
+)
+def test_split_fiber_radical_from_covers_matches_every_composite(p, dims, seed, prefer_split):
+    """The radical at b spanned by the covers into b gives the same tops and
+    sections as the one spanned by every composite F(c <= b), c < b."""
+    f = random_functor_with_dims(p, dict(zip(p.elements, dims)), random.Random(seed), prefer_split=prefer_split)
+    s = split_fiber(f, "x")
+    want = oracle_split_sections(f, "x")
+    assert (s is None) == (want is None)
+    if s is not None:
+        assert (s.dims, s.sections) == want

@@ -350,3 +350,24 @@ def test_induction_and_graduation_units_are_natural():
         _assert_natural(f, _restriction(p, ind.functor), ind.units)
         gr = grade_with_blocks(p, f)
         _assert_natural(f, grade_right_adjoint(p, gr.functor), gr.units)
+
+
+def _plus_name_circle(names):
+    """The circle of {0, z^-1, z^-2} under the given three names."""
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+
+    G = GaussianRational.of
+    values = (IrregularValue.zero(), IrregularValue.of((1, G(1))), IrregularValue.of((2, G(1))))
+    return build_circle_space(ExponentialData(dict(zip(names, values))))
+
+
+@pytest.mark.parametrize("names", [("u", "v+w", "w"), ("u", "v", "u+v")])
+def test_level_structure_refuses_plus_in_value_names(names):
+    """Classes are named by joining members with '+': the name v+w read back
+    as v, and u+v named both a value and the class {u, v}."""
+    import re
+    from stokeslib import pole_level_structure
+
+    bad = next(n for n in names if "+" in n)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        pole_level_structure(_plus_name_circle(names))

@@ -522,3 +522,64 @@ def test_cli_rejects_a_circle_space_that_its_data_does_not_give(tmp_path, capsys
             assert run(bad) == 2, what
             captured = capsys.readouterr()
             assert captured.out == "" and "differs from the space built from its data" in captured.err
+
+
+def test_cli_level_commands_refuse_plus_in_value_names(tmp_path):
+    import random
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+    from helpers import random_standard_functor
+
+    G = GaussianRational.of
+    values = (IrregularValue.zero(), IrregularValue.of((1, G(1))), IrregularValue.of((2, G(1))))
+    for names in (("u", "v+w", "w"), ("u", "v", "u+v")):
+        cs = build_circle_space(ExponentialData(dict(zip(names, values))))
+        space_path = tmp_path / "space.json"
+        space_path.write_text(serial.dumps(serial.circle_space_to_json(cs)))
+        f = random_standard_functor(cs.fibration, dict.fromkeys(names, 1), random.Random(2))
+        f_path = tmp_path / "f.json"
+        f_path.write_text(serial.dumps(serial.functor_to_json(f)))
+        for cmd in ("grade", "induce", "disassemble"):
+            args = ("--input", str(f_path), "--space", str(space_path), "--level", "1")
+            assert run_cli(tmp_path, cmd, *args) == 2, (names, cmd)
+
+
+def test_cli_refuses_unchecked_morphism_and_fibration_documents(tmp_path):
+    """A morphism whose fiber maps are not monotone, and a fibration whose fiber
+    order is not antisymmetric, are bad input for induce, sections and collapse."""
+    from stokeslib import MonotoneMap
+    from stokeslib.fibrations import FibrationMorphism
+
+    space = two_value_circle()
+    fib = space.fibration
+    f_path = tmp_path / "f.json"
+    f_path.write_text(serial.dumps(serial.functor_to_json(rank_one_one_functor(space))))
+    swap = FibrationMorphism(
+        fib, fib, {x: MonotoneMap(fib.fiber(x), fib.fiber(x), {"a": "b", "b": "a"}) for x in fib.base.objects}
+    )
+    assert swap.squares_commute()
+    m_path = tmp_path / "swap.json"
+    m_path.write_text(serial.dumps(serial.morphism_to_json(swap)))
+    for cmd in ("induce", "grade", "disassemble"):
+        assert run_cli(tmp_path, cmd, "--input", str(f_path), "--morphism", str(m_path)) == 2, cmd
+    doc = serial.fibration_to_json(fib)
+    elems = doc["fibers"]["s0"]["elements"]
+    doc["fibers"]["s0"]["leq"] = [[True] * len(elems) for _ in elems]
+    bad = tmp_path / "bad.json"
+    bad.write_text(serial.dumps(doc))
+    assert run_cli(tmp_path, "validate", "--input", str(bad)) == 1
+    for cmd in ("sections", "collapse"):
+        assert run_cli(tmp_path, cmd, "--input", str(bad)) == 2, cmd
+
+
+def test_cli_sections_on_a_long_circle(tmp_path, capsys):
+    """One recursion step per base object overflowed the stack here."""
+    from stokeslib import FinPoset, MonotoneMap, StokesFibration, make_circle_base
+
+    base = make_circle_base(600)
+    pt = FinPoset.antichain(["a"])
+    fib = StokesFibration(base, dict.fromkeys(base.objects, pt), {a.name: MonotoneMap.identity(pt) for a in base.arrows})
+    path = tmp_path / "long.json"
+    path.write_text(serial.dumps(serial.fibration_to_json(fib)))
+    capsys.readouterr()
+    assert run_cli(tmp_path, "sections", "--input", str(path)) == 0
+    assert json.loads(capsys.readouterr().out)["sections"] == [dict.fromkeys(base.objects, "a")]

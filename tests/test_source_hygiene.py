@@ -28,3 +28,49 @@ def test_no_unused_imports(path):
 def test_unused_imports_are_found():
     tree = ast.parse("import os\nimport mpmath.libmp\nfrom .exactmath import Matrix, mat_rank as mr\nMatrix(mpmath)\n")
     assert unused_imports(tree) == ["mr", "os"]
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """Module-level functions, classes and constants whose names start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set:
+    """Names read as a name or an attribute, or imported by name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def dead_private_names(sources: dict) -> list:
+    """module:name for every private definition that no source reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set().union(*(read_names(t) for t in trees.values()))
+    return sorted(f"{name}:{n}" for name, t in trees.items() for n in private_definitions(t) - read)
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_private_helpers_are_found():
+    sources = {
+        "a.py": "_LIMIT = 3\n_seen: set = set()\ndef _used():\n    return _LIMIT\nclass _Orphan:\n    pass\n",
+        "b.py": "from .a import _used\ndef _self_only():\n    pass\nx = _seen\n__all__ = []\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_Orphan", "b.py:_self_only"]
