@@ -1,17 +1,20 @@
 """Exact rational and Gaussian-rational arithmetic and linear algebra over Q.
 
 Rationals are ``fractions.Fraction`` throughout; matrices are immutable
-row-major tuples of Fractions.  One elimination serves all of the linear
-algebra: ``SparseEchelon`` keeps its pivot rows in reduced row echelon
-form, and rank, solve, inverse, kernel and column-space complement, dense
-or sparse, are read off those pivot rows.
+row-major tuples of Fractions, multiplied by integer dot products.  One
+elimination serves all of the linear algebra: ``SparseEchelon`` keeps its
+pivot rows as primitive integer rows in reduced row echelon form up to a
+positive factor per row, and rank, solve, inverse, kernel and column-space
+complement, dense or sparse, are read off the normalised pivot rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 def rat(x) -> Fraction:
@@ -134,17 +137,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ent = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        s += a * other.entries[k * other.cols + j]
-                ent.append(s)
-        return Matrix(self.rows, other.cols, tuple(ent))
+        lines = [_integer_line(self.row(i)) for i in range(self.rows)]
+        cols = [_integer_line(other.entries[j :: other.cols]) for j in range(other.cols)]
+        ent = tuple(Fraction(sum(map(mul, x, y)), dx * dy) for x, dx in lines for y, dy in cols)
+        return Matrix(self.rows, other.cols, ent)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -205,57 +201,104 @@ def block_diag(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.from_rows(out) if rows else Matrix(0, cols, ())
 
 
-def _subtract_multiple(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
-    """row -= factor * pivot in place, dropping the entries that cancel."""
-    for c, v in pivot.items():
-        new = row.get(c, 0) - factor * v
+def _integer_line(vals: Collection) -> tuple[list[int], int]:
+    """(integer numerators over d, d) for the lcm d of the denominators of vals."""
+    d = 1
+    for v in vals:
+        if v.denominator != 1:
+            d = lcm(d, v.denominator)
+    return [v.numerator * (d // v.denominator) for v in vals], d
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()} if g else row
+
+
+def _eliminate(row: dict[int, int], c: int, pivot: dict[int, int]) -> None:
+    """row <- row*(d/g) - (a/g)*pivot in place, with a = row[c], d = pivot[c] > 0
+    and g = gcd(a, d): column c cancels and row is scaled by d/g > 0."""
+    a, d = row[c], pivot[c]
+    g = gcd(a, d)
+    if d != g:
+        for j in row:
+            row[j] *= d // g
+    k = a // g
+    for j, v in pivot.items():
+        new = row.get(j, 0) - k * v
         if new:
-            row[c] = new
+            row[j] = new
         else:
-            del row[c]
+            del row[j]
 
 
 class SparseEchelon:
     """Incremental exact row echelon over Q with dict-of-column rows.
 
     Rows are inserted one at a time, reduced against the recorded pivots;
-    nonzero remainders are normalized and become new pivots.  The pivot
-    rows are always the reduced row echelon form of the rows inserted so
-    far, so every answer read off them is unique.
+    nonzero remainders become new pivots.  Each pivot row is stored as a
+    primitive integer row, positive at its lead, and the stored rows are
+    the reduced row echelon form of the rows inserted so far up to one
+    positive factor per row, so every answer read off ``pivot_rows`` is
+    unique.
     """
 
     def __init__(self):
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        # column -> leads of the pivot rows that may hold it (a superset)
+        self._holders: dict[int, set[int]] = {}
 
-    def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+    @property
+    def pivot_rows(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced row echelon form, keyed by lead column; built afresh on each read."""
+        return {lead: {c: Fraction(v, row[lead]) for c, v in row.items()} for lead, row in self._rows.items()}
+
+    def reduce(self, row: dict) -> dict[int, int]:
         """Eliminate every pivot-column entry, not only the leading one.
 
-        Pivot rows are kept fully reduced (each is zero on every other
-        pivot column), so eliminating one pivot never brings in another:
-        one pass over the row's pivot columns suffices.
+        Returns ``{}`` exactly when row lies in the span of the inserted
+        rows; a nonzero remainder is given only up to a nonzero factor, as
+        a primitive integer row.  Pivot rows are kept fully reduced (each
+        is zero on every other pivot column), so eliminating one pivot
+        never brings in another: one pass over the row's pivot columns
+        suffices.
         """
-        row = {c: v for c, v in row.items() if v}
-        pivots = self.pivot_rows
-        for hit in [c for c in row if c in pivots]:
-            _subtract_multiple(row, row[hit], pivots[hit])
-        return row
+        nums, _ = _integer_line(row.values())
+        out = _primitive({c: v for c, v in zip(row, nums) if v})
+        pivots = self._rows
+        for hit in [c for c in out if c in pivots]:
+            _eliminate(out, hit, pivots[hit])
+        return _primitive(out)
 
-    def insert(self, row: dict[int, Fraction]) -> int | None:
+    def insert(self, row: dict) -> int | None:
         """Reduce and record; returns the new pivot column or None."""
         rem = self.reduce(row)
         if not rem:
             return None
         lead = min(rem)
-        inv = rem[lead]
-        pivot = self.pivot_rows[lead] = {c: v / inv for c, v in rem.items()}
-        # keep earlier pivot rows reduced against the new one
-        for prow in [p for p in self.pivot_rows.values() if lead in p and p is not pivot]:
-            _subtract_multiple(prow, prow[lead], pivot)
+        if rem[lead] < 0:
+            rem = {c: -v for c, v in rem.items()}
+        rows, holders = self._rows, self._holders
+        # keep the earlier pivot rows that hold the new lead reduced against it
+        hit = [q for q in holders.pop(lead, ()) if lead in rows[q]]
+        for q in hit:
+            _eliminate(rows[q], lead, rem)
+            rows[q] = _primitive(rows[q])
+        hit.append(lead)
+        rows[lead] = rem
+        for c in rem:
+            if c != lead:
+                holders.setdefault(c, set()).update(hit)
         return lead
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._rows)
 
 
 def _echelon(rows: Iterable[dict]) -> SparseEchelon:

@@ -85,14 +85,17 @@ class StokesFunctor:
 
     def morphism_matrix(self, tm) -> Matrix:
         """Value on a morphism of the total category."""
-        x, a = tm.source
+        cur = tm.source[1]
         y, c = tm.target
-        cur = a
-        out = Matrix.identity(self.dim(x, a))
+        out = None
         for g in tm.base.gens:
-            out = self.lift_matrix(g, cur) @ out
+            step = self.lift_matrix(g, cur)
+            out = step if out is None else step @ out
             cur = self.fibration.transition(g)(cur)
-        return self.fiber_matrix(y, cur, c) @ out
+        if out is not None and cur == c:
+            return out
+        fm = self.fiber_matrix(y, cur, c)
+        return fm if out is None else fm @ out
 
 
 def generating_arrow_shapes(fib: StokesFibration) -> dict:
@@ -411,7 +414,8 @@ def _induce_split(f: StokesFunctor, splittings: dict, target: StokesFibration, q
     return InducedFunctor(StokesFunctor(target, spaces, arrows), units)
 
 
-def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
+def _check_morphism(p: FibrationMorphism, f: StokesFunctor) -> None:
+    """Raise ValueError unless p is a fibration morphism out of f's fibration."""
     if f.fibration != p.source:
         raise ValueError("functor does not live on the source of the morphism")
     ok, why = validate_fibration(p.target)
@@ -422,6 +426,10 @@ def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor
         raise ValueError(f"the map of fibers at {bad} is not monotone")
     if not p.squares_commute():
         raise ValueError("fibration morphism squares do not commute")
+
+
+def induce_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
+    _check_morphism(p, f)
     return _induce_split(f, _standardize(f), p.target, p.map_at)
 
 
@@ -432,8 +440,7 @@ def induce(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
 
 def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
     """Graduation along a graduation morphism: induction onto the graded fibration."""
-    if f.fibration != p.source:
-        raise ValueError("functor does not live on the source of the morphism")
+    _check_morphism(p, f)
     if not all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows):
         raise ValueError("not a graduation morphism: target set-fibration is not locally constant")
     return _induce_split(f, _standardize(f), graded_fibration(p), _identity_at)
@@ -804,15 +811,20 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
         coords.append(offset)
         dims.append(run)
 
-    # structure maps, computed once per morphism: the columns of F(m) and the rows of G(m)
+    # structure maps, one matrix per morphism per functor: the columns of F(m) and the rows of G(m)
+    f_mats: dict = {}
+    g_mats = f_mats if g is f else {}
     pre_cols: dict = {}
     post_rows: dict = {}
 
-    def structure(cache: dict, functor: StokesFunctor, m, by_column: bool) -> list:
+    def structure(cache: dict, mats: dict, functor: StokesFunctor, m, by_column: bool) -> list:
         key = m.key()
         lines = cache.get(key)
         if lines is None:
-            lines = cache[key] = _sparse_lines(functor.morphism_matrix(m), by_column)
+            mat = mats.get(key)
+            if mat is None:
+                mat = mats[key] = functor.morphism_matrix(m)
+            lines = cache[key] = _sparse_lines(mat, by_column)
         return lines
 
     all_rows = []
@@ -826,7 +838,7 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
             # face 0: drop the first morphism, precompose with F(ch[0])
             first = coord[_chain_key(level, ch[1:] if level >= 1 else ch[0].target)]
             first_width = fdim[ch[0].target]
-            pre = structure(pre_cols, f, ch[0], True)  # F(src) -> F(ch[0].target)
+            pre = structure(pre_cols, f_mats, f, ch[0], True)  # F(src) -> F(ch[0].target)
             # inner faces: merge consecutive morphisms
             inner = [
                 (
@@ -837,7 +849,7 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
             ]
             # last face: drop the last morphism, postcompose with G(ch[-1])
             last = coord[_chain_key(level, ch[:-1] if level >= 1 else ch[0].source)]
-            post = structure(post_rows, g, ch[-1], False)  # G(ch[-1].source) -> G(tgt)
+            post = structure(post_rows, g_mats, g, ch[-1], False)  # G(ch[-1].source) -> G(tgt)
             sign = (-1) ** (level + 1)
             for r in range(d_tgt):
                 base = first + r * first_width

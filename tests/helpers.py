@@ -88,6 +88,20 @@ def oracle_solve(a_rows, b_col):
     return sol
 
 
+def oracle_matmul(a_rows, b_rows, cols: int):
+    """The product of two row lists by the schoolbook triple loop; b has ``cols`` columns."""
+    out = []
+    for a_row in a_rows:
+        row = []
+        for j in range(cols):
+            s = Fraction(0)
+            for k, b_row in enumerate(b_rows):
+                s += Fraction(a_row[k]) * Fraction(b_row[j])
+            row.append(s)
+        out.append(row)
+    return out
+
+
 def mat_rows(m: Matrix):
     return [list(m.row(i)) for i in range(m.rows)]
 

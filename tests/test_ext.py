@@ -228,3 +228,30 @@ def test_differentials_densify_on_each_read():
     first, second = hc.differentials, hc.differentials
     assert first == second and first is not second
     assert [(d.rows, d.cols) for d in first] == [(hc.dims[1], hc.dims[0])]
+
+
+def test_hom_complex_reads_each_morphism_once_per_functor(monkeypatch):
+    """At most one structure matrix per nonidentity total morphism per distinct
+    functor, for a self pair and a mixed pair on the three-value circle."""
+    from stokeslib import TotalCategory
+    from helpers import three_value_circle
+
+    fib = three_value_circle().fibration
+    f = random_standard_functor(fib, {"u": 1, "v": 1, "w": 1}, random.Random(3))
+    g = random_standard_functor(fib, {"u": 1, "v": 2, "w": 1}, random.Random(4))
+    nonidentity = {m.key() for m in TotalCategory.of(fib).nonidentity()}
+    calls = []
+    original = StokesFunctor.morphism_matrix
+
+    def counted(self, tm):
+        calls.append((id(self), tm.key()))
+        return original(self, tm)
+
+    monkeypatch.setattr(StokesFunctor, "morphism_matrix", counted)
+    for a, b in ((f, f), (f, g)):
+        calls.clear()
+        hom_complex(a, b)
+        assert calls
+        assert len(calls) == len(set(calls))
+        assert {key for _, key in calls} <= nonidentity
+        assert {who for who, _ in calls} <= {id(a), id(b)}

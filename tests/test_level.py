@@ -371,3 +371,20 @@ def test_level_structure_refuses_plus_in_value_names(names):
     bad = next(n for n in names if "+" in n)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         pole_level_structure(_plus_name_circle(names))
+
+
+def test_grade_and_induce_refuse_a_target_fibration_that_is_not_one():
+    """On the two-value circle, the identity morphism onto a fibration whose
+    every fiber {a, b} has an all-true order (antisymmetry fails)."""
+    from stokeslib import serial
+    from stokeslib.fixtures import rank_one_one_functor, two_value_circle
+
+    space = two_value_circle()
+    f = rank_one_one_functor(space)
+    doc = serial.morphism_to_json(FibrationMorphism.identity(space.fibration))
+    for fiber in doc["target"]["fibers"].values():
+        fiber["leq"] = [[True] * len(fiber["elements"]) for _ in fiber["elements"]]
+    p = serial.morphism_from_json(doc)
+    for op in (grade, induce):
+        with pytest.raises(ValueError, match="target fibration"):
+            op(p, f)

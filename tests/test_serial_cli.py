@@ -571,6 +571,23 @@ def test_cli_refuses_unchecked_morphism_and_fibration_documents(tmp_path):
         assert run_cli(tmp_path, cmd, "--input", str(bad)) == 2, cmd
 
 
+def test_cli_grade_refuses_a_target_fibration_that_is_not_one(tmp_path):
+    """The identity morphism of the two-value circle onto a fibration whose every
+    fiber {a, b} has an all-true order: grade, induce and disassemble exit 2."""
+    from stokeslib.fibrations import FibrationMorphism
+
+    space = two_value_circle()
+    f_path = tmp_path / "f.json"
+    f_path.write_text(serial.dumps(serial.functor_to_json(rank_one_one_functor(space))))
+    doc = serial.morphism_to_json(FibrationMorphism.identity(space.fibration))
+    for fiber in doc["target"]["fibers"].values():
+        fiber["leq"] = [[True] * len(fiber["elements"]) for _ in fiber["elements"]]
+    m_path = tmp_path / "all-true.json"
+    m_path.write_text(serial.dumps(doc))
+    for cmd in ("grade", "induce", "disassemble"):
+        assert run_cli(tmp_path, cmd, "--input", str(f_path), "--morphism", str(m_path)) == 2, cmd
+
+
 def test_cli_sections_on_a_long_circle(tmp_path, capsys):
     """One recursion step per base object overflowed the stack here."""
     from stokeslib import FinPoset, MonotoneMap, StokesFibration, make_circle_base

@@ -1,6 +1,7 @@
 """Static checks on the library sources."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,29 @@ def test_dead_private_helpers_are_found():
         "b.py": "from .a import _used\ndef _self_only():\n    pass\nx = _seen\n__all__ = []\n",
     }
     assert dead_private_names(sources) == ["a.py:_Orphan", "b.py:_self_only"]
+
+
+def foreign_imports(tree: ast.Module) -> list:
+    """Absolute imports of modules outside the standard library and mpmath."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "mpmath"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted({n for n in names if n.split(".")[0] not in allowed})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_runtime_dependency_beyond_mpmath(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_foreign_imports_are_found():
+    tree = ast.parse(
+        "import sympy\nimport os.path\nimport mpmath.libmp\nfrom numpy.linalg import det\n"
+        "from fractions import Fraction\nfrom . import exactmath\nfrom .bases import BaseFunctor\n"
+        "def f():\n    import hypothesis\n"
+    )
+    assert foreign_imports(tree) == ["hypothesis", "numpy.linalg", "sympy"]

@@ -24,7 +24,7 @@ from stokeslib.exactmath import (
     sparse_solve,
 )
 
-from helpers import oracle_is_invertible, oracle_rank, oracle_rref, oracle_solve
+from helpers import oracle_is_invertible, oracle_matmul, oracle_rank, oracle_rref, oracle_solve
 
 # zero about half the time, so that rows are sparse and often dependent
 entries = st.one_of(
@@ -172,3 +172,81 @@ def test_column_space_complement_is_the_greedy_oracle_choice(system):
     basis = as_matrix(cols, n).transpose() if cols else Matrix(n, 0, ())
     assert column_space_complement(basis) == chosen
     assert len(chosen) == n - oracle_rank(cols)
+
+
+# ---------------------------------------------------------------------------
+# the integer core on wide entries: big numerators and denominators, rows
+# that mix int and Fraction values, explicit zeros of both types
+
+wide_entries = st.one_of(
+    st.sampled_from([0, Fraction(0)]),
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def wide_systems(draw):
+    """(dense rows, column count) with 0..6 rows over 1..6 columns of wide entries."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(wide_entries, min_size=ncols, max_size=ncols), max_size=6))
+    return rows, ncols
+
+
+@given(wide_systems(), st.booleans())
+def test_wide_systems_match_the_oracles(system, keep_zeros):
+    rows, ncols = system
+    sparse = as_sparse(rows, keep_zeros)
+    rref, pivots = oracle_rref(rows)
+    assert sparse_rank(sparse) == len(pivots)
+    ech = SparseEchelon()
+    for row in sparse:
+        ech.insert(row)
+    read = ech.pivot_rows
+    assert sorted(read) == pivots
+    for r, c in enumerate(pivots):
+        assert read[c] == {j: v for j, v in enumerate(rref[r]) if v}
+        assert all(type(v) is Fraction for v in read[c].values())
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = {fc: Fraction(1)}
+        vec.update((pc, -rref[r][fc]) for r, pc in enumerate(pivots) if rref[r][fc])
+        kernel.append(vec)
+    assert sparse_kernel_basis(sparse, ncols) == kernel
+    # the last column as the negated right-hand side
+    got = sparse_solve(sparse, ncols - 1)
+    want = oracle_solve([row[:-1] for row in rows], [-row[-1] for row in rows]) if rows else [Fraction(0)] * (ncols - 1)
+    if want is None:
+        assert got is None
+    else:
+        assert dict(got) == {j: v for j, v in enumerate(want) if v}
+
+
+@given(wide_systems())
+def test_pivot_rows_cannot_be_changed_through_a_read(system):
+    rows, _ = system
+    ech = SparseEchelon()
+    for row in as_sparse(rows, False):
+        ech.insert(row)
+    rref, pivots = oracle_rref(rows)
+    read = ech.pivot_rows
+    for prow in read.values():
+        for c in prow:
+            prow[c] = Fraction(7)
+        prow[99] = Fraction(1)
+    read[99] = {99: Fraction(1)}
+    assert ech.pivot_rows == {c: {j: v for j, v in enumerate(rref[r]) if v} for r, c in enumerate(pivots)}
+    assert ech.rank == len(pivots)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_matches_the_oracle_product(n, inner, m, data):
+    """Including the 0-row, 0-column and 0-inner shapes."""
+    a_rows = [data.draw(st.lists(wide_entries, min_size=inner, max_size=inner)) for _ in range(n)]
+    b_rows = [data.draw(st.lists(wide_entries, min_size=m, max_size=m)) for _ in range(inner)]
+    a = Matrix(n, inner, tuple(Fraction(v) for row in a_rows for v in row))
+    b = Matrix(inner, m, tuple(Fraction(v) for row in b_rows for v in row))
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (n, m)
+    assert prod.to_lists() == oracle_matmul(a_rows, b_rows, m)
+    assert all(type(v) is Fraction for v in prod.entries)
