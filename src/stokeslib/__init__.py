@@ -34,7 +34,6 @@ from .posets import (
     graded_poset,
     is_level_morphism,
     underlying_set,
-    up_set,
     validate_poset,
 )
 from .bases import (
@@ -58,7 +57,6 @@ from .fibrations import (
     is_level_fibration_morphism,
     nondegenerate_chains,
     pullback_fibration,
-    section_is_valid,
     stokes_locus,
     terminal_fibration,
     terminal_morphism,

@@ -9,6 +9,7 @@ verdicts.  Exit codes: 0 success / positive verdict, 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import zlib
@@ -178,7 +179,7 @@ def cmd_split(args) -> int:
     payload = {
         "split": True,
         "graded": serial.functor_to_json(gs.graded),
-        "iso": {f"({x},{a})": serial.matrix_to_json(m) for (x, a), m in gs.iso.items()},
+        "iso": {serial.total_key(x, a): serial.matrix_to_json(m) for (x, a), m in gs.iso.items()},
     }
     _emit(payload, args.output)
     _say("split: global splitting found")
@@ -210,7 +211,7 @@ def cmd_disassemble(args) -> int:
     payload = {
         "g": serial.functor_to_json(g),
         "h": serial.functor_to_json(h),
-        "alpha": {f"({x},{c})": serial.matrix_to_json(m) for (x, c), m in alpha.items()},
+        "alpha": {serial.total_key(x, c): serial.matrix_to_json(m) for (x, c), m in alpha.items()},
         "morphism": serial.morphism_to_json(p),
     }
     _emit(payload, args.output)
@@ -223,10 +224,7 @@ def cmd_assemble(args) -> int:
     p = serial.morphism_from_json(doc["morphism"]) if "morphism" in doc else _load_morphism(args)
     g = _functor_from_doc(doc["g"], f"{args.input} (g)")
     h = _functor_from_doc(doc["h"], f"{args.input} (h)")
-    alpha = {}
-    for key, m in doc["alpha"].items():
-        x, _, c = key[1:-1].partition(",")
-        alpha[(x, c)] = serial.matrix_from_json(m)
+    alpha = {serial.parse_total_key(key): serial.matrix_from_json(m) for key, m in doc["alpha"].items()}
     try:
         out = level_assemble(p, g, h, alpha)
     except ArithmeticError as exc:
@@ -357,17 +355,16 @@ def cmd_sections(args) -> int:
     return 0
 
 
-_MULTI_INPUT = {"validate", "is-stokes", "split", "elementary"}
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use."""
     ap = argparse.ArgumentParser(
         prog="stokeslib",
         description="exact computation with finite Stokes structures",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, multi=False, morphism=False, d_flag=False, level=False):
+    def add(name, fn, multi=False, morphism=False, d_flag=False):
         p = sub.add_parser(name)
         if multi:
             p.add_argument("--input", action="append", required=True, help="input JSON (repeatable)")
@@ -415,35 +412,26 @@ def _run_single(fn, args) -> int:
         return 2
 
 
-def _worker(payload):
-    fn_name, args_dict, path = payload
-    ns = argparse.Namespace(**args_dict)
-    ns.input = path
-    if ns.output:
-        ns.output = f"{ns.output}.{zlib.crc32(path.encode('utf-8')):08x}.json"
-    return _run_single(globals()[fn_name], ns)
+def _worker(payload) -> int:
+    """One input of a repeatable --input; the output is suffixed when there are several."""
+    args, path, several = payload
+    out = args.output
+    if out and several:
+        out = f"{out}.{zlib.crc32(path.encode('utf-8')):08x}.json"
+    return _run_single(args.fn, argparse.Namespace(**{**vars(args), "input": path, "output": out}))
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    fn = args.fn
-    if args.command in _MULTI_INPUT:
-        paths = args.input
-        if len(paths) == 1:
-            ns = argparse.Namespace(**vars(args))
-            ns.input = paths[0]
-            return _run_single(fn, ns)
-        args_dict = {k: v for k, v in vars(args).items() if k not in {"fn", "input"}}
-        payloads = [(fn.__name__, args_dict, p) for p in paths]
-        if args.jobs > 1:
-            # fork starts every worker up front: never more than there are inputs
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
-                codes = list(pool.map(_worker, payloads))
-        else:
-            codes = [_worker(p) for p in payloads]
-        return max(codes)
-    return _run_single(fn, args)
+    args = build_parser().parse_args(argv)
+    if isinstance(args.input, str):
+        return _run_single(args.fn, args)
+    paths = args.input
+    payloads = [(args, p, len(paths) > 1) for p in paths]
+    if args.jobs > 1 and len(paths) > 1:
+        # fork starts every worker up front: never more than there are inputs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(paths))) as pool:
+            return max(pool.map(_worker, payloads))
+    return max(map(_worker, payloads))
 
 
 if __name__ == "__main__":

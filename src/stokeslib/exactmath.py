@@ -155,10 +155,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def scale(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 

@@ -75,13 +75,6 @@ class CocartesianSection:
         return self.choice[x]
 
 
-def section_is_valid(i: StokesFibration, s: CocartesianSection) -> bool:
-    return all(
-        i.transition(a.name)(s(a.source)) == s(a.target)
-        for a in i.base.arrows
-    ) and all(x in s.choice and s(x) in i.fiber(x).elements for x in i.base.objects)
-
-
 def cocartesian_sections(i: StokesFibration) -> list[CocartesianSection]:
     """Exhaustive list, by backtracking over the base objects.
 
@@ -188,6 +181,12 @@ def terminal_morphism(i: StokesFibration) -> FibrationMorphism:
     return FibrationMorphism(i, t, maps)
 
 
+def _locally_constant_sets(j: StokesFibration) -> bool:
+    """The graduation-morphism condition on a target: its underlying-set
+    fibration is locally constant, i.e. every transition is a bijection."""
+    return all(j.transition(a.name).is_bijective() for a in j.base.arrows)
+
+
 def is_level_fibration_morphism(p: FibrationMorphism) -> bool:
     """Fiberwise level, commuting squares, and target set-transitions bijective."""
     if p.source.base is not p.target.base and p.source.base != p.target.base:
@@ -196,9 +195,7 @@ def is_level_fibration_morphism(p: FibrationMorphism) -> bool:
         return False
     if not all(is_level_morphism(p.maps[x]) for x in p.source.base.objects):
         return False
-    # graduation-morphism condition: the target's underlying-set fibration
-    # is locally constant, i.e. every transition is a bijection on elements
-    return all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows)
+    return _locally_constant_sets(p.target)
 
 
 def graded_fibration(p: FibrationMorphism) -> StokesFibration:
@@ -206,7 +203,7 @@ def graded_fibration(p: FibrationMorphism) -> StokesFibration:
     set-transitions are bijective."""
     if not p.squares_commute():
         raise ValueError("fibration morphism squares do not commute")
-    if not all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows):
+    if not _locally_constant_sets(p.target):
         raise ValueError("target set-fibration is not locally constant")
     fibers = {x: graded_poset(p.maps[x]) for x in p.source.base.objects}
     transitions = {}
@@ -298,11 +295,11 @@ class TotalCategory:
                 raise ValueError(f"cycle detected through {m.source}")
 
 
-def nondegenerate_chains(t: TotalCategory, maxlen: int | None = None) -> dict[int, list]:
+def nondegenerate_chains(t: TotalCategory) -> dict[int, list]:
     """Composable chains of nonidentity morphisms, grouped by length.
 
-    Length 0 chains are the objects.  Enumeration stops when a length has
-    no chains or when maxlen is reached.
+    Length 0 chains are the objects.  Enumeration stops at the first length
+    with no chains.
     """
     t.check_acyclic()
     chains: dict[int, list] = {0: list(t.objects)}
@@ -310,15 +307,9 @@ def nondegenerate_chains(t: TotalCategory, maxlen: int | None = None) -> dict[in
     for m in t.nonidentity():
         by_source.setdefault(m.source, []).append(m)
     level = [(m,) for m in t.nonidentity()]
-    length = 1
-    while level and (maxlen is None or length <= maxlen):
-        chains[length] = level
-        nxt = []
-        for ch in level:
-            for m in by_source.get(ch[-1].target, []):
-                nxt.append(ch + (m,))
-        level = nxt
-        length += 1
+    while level:
+        chains[len(level[0])] = level
+        level = [ch + (m,) for ch in level for m in by_source.get(ch[-1].target, [])]
     return chains
 
 
@@ -340,10 +331,6 @@ class LevelStructure:
         for a, b in zip(self.stages, self.stages[1:]):
             if a.target is not b.source and a.target != b.source:
                 raise ValueError("stages do not chain")
-
-    @property
-    def top(self) -> StokesFibration:
-        return self.stages[0].source
 
     @property
     def bottom(self) -> StokesFibration:

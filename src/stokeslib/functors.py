@@ -141,7 +141,7 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
         for a, b in fib.fiber(arr.source).covers():
             left = f.lift_matrix(arr.name, b) @ f.cover_matrix(arr.source, a, b)
             right = f.fiber_matrix(arr.target, t(a), t(b)) @ f.lift_matrix(arr.name, a)
-            if left.entries != right.entries:
+            if left != right:
                 return False, f"lift naturality fails for {arr.name} at cover {a}<{b}"
     # base-level path independence for poset bases: per fiber element a of
     # the start, the composite lift and the element it has reached
@@ -441,9 +441,9 @@ def induce(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
 def grade_with_blocks(p: FibrationMorphism, f: StokesFunctor) -> InducedFunctor:
     """Graduation along a graduation morphism: induction onto the graded fibration."""
     _check_morphism(p, f)
-    if not all(p.target.transition(a.name).is_bijective() for a in p.target.base.arrows):
-        raise ValueError("not a graduation morphism: target set-fibration is not locally constant")
-    return _induce_split(f, _standardize(f), graded_fibration(p), _identity_at)
+    # raises on a target that is not a graduation before f is split
+    gfib = graded_fibration(p)
+    return _induce_split(f, _standardize(f), gfib, _identity_at)
 
 
 def grade(p: FibrationMorphism, f: StokesFunctor) -> StokesFunctor:
@@ -597,8 +597,10 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     splittings = punctual_splittings(f)
     if splittings is None:
         return None
-    tops = top_functor(f, splittings)
     fib = f.fibration
+    # the tops, with the quotients q: F(x, a) -> V_a as the units
+    induced = _induce_split(f, splittings, fiberwise_set(fib), _identity_at)
+    tops = induced.functor
     # sigma: tops -> f restricted to the set fibration, natural over every base arrow
     on_sets = StokesFunctor(tops.fibration, f.spaces, {k: f.arrows[k] for k in tops.arrows})
     naturality, var_offset, total = _naturality_rows(tops, on_sets)
@@ -606,18 +608,14 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     rows: list[dict] = []
     # q . sigma = identity at every total object; these rows go first, which
     # keeps the elimination cheap (sigma_(x, a) is row-major, d_top wide)
-    for x in fib.base.objects:
-        s = splittings[x]
-        le = fib.fiber(x).le
-        for a in fib.fiber(x).elements:
-            q = _project(s, le, a, _BlockIndex([a], s.dims))
-            d_top, off = s.dims[a], var_offset[(x, a)]
-            for r in range(d_top):
-                for c in range(d_top):
-                    row = {off + k * d_top + c: q.at(r, k) for k in range(f.dim(x, a)) if q.at(r, k)}
-                    if r == c:
-                        row[rhs_col] = Fraction(-1)
-                    rows.append(row)
+    for key, q in induced.units.items():
+        d_top, off = q.rows, var_offset[key]
+        for r, line in enumerate(_sparse_lines(q, False)):
+            for c in range(d_top):
+                row = {off + k * d_top + c: v for k, v in line}
+                if r == c:
+                    row[rhs_col] = Fraction(-1)
+                rows.append(row)
     rows.extend(naturality)
     sol = sparse_solve(rows, rhs_col)
     if sol is None:
@@ -646,33 +644,25 @@ def _naturality_rows(f: StokesFunctor, g: StokesFunctor) -> tuple[list, dict, in
     eta_(x, a) start at ``offsets[(x, a)]``.
     """
     fib = f.fibration
-    keys = [(x, a) for x in fib.base.objects for a in fib.fiber(x).elements]
     offsets = {}
     total = 0
-    for key in keys:
-        offsets[key] = total
-        total += f.spaces[key] * g.spaces[key]
-
-    def entry(key, i, j) -> int:
-        # eta_key has shape g.spaces[key] x f.spaces[key], row-major
-        return offsets[key] + i * f.spaces[key] + j
-
+    for x in fib.base.objects:
+        for a in fib.fiber(x).elements:
+            # eta_(x, a) has shape g.spaces x f.spaces, row-major
+            offsets[(x, a)] = total
+            total += f.spaces[(x, a)] * g.spaces[(x, a)]
     rows: list[dict] = []
     for arrow_id, (tgt, src) in generating_arrow_shapes(fib).items():
-        fm = f.arrows[arrow_id]
-        gm = g.arrows[arrow_id]
-        for r in range(g.spaces[tgt]):
-            for c in range(f.spaces[src]):
-                row: dict[int, Fraction] = {}
-                # (eta_tgt . F(m) - G(m) . eta_src)[r, c] = 0
-                for k in range(f.spaces[tgt]):
-                    if fm.at(k, c):
-                        e = entry(tgt, r, k)
-                        row[e] = row.get(e, Fraction(0)) + fm.at(k, c)
-                for k in range(g.spaces[src]):
-                    if gm.at(r, k):
-                        e = entry(src, k, c)
-                        row[e] = row.get(e, Fraction(0)) - gm.at(r, k)
+        f_cols = _sparse_lines(f.arrows[arrow_id], True)
+        g_rows = _sparse_lines(g.arrows[arrow_id], False)
+        at_tgt, w_tgt = offsets[tgt], f.spaces[tgt]
+        at_src, w_src = offsets[src], f.spaces[src]
+        # (eta_tgt . F(m) - G(m) . eta_src)[r, c] = 0; a generating arrow is
+        # never an endomorphism, so the two terms share no unknown
+        for r, g_row in enumerate(g_rows):
+            for c, f_col in enumerate(f_cols):
+                row = {at_tgt + r * w_tgt + k: v for k, v in f_col}
+                row.update((at_src + k * w_src + c, -v) for k, v in g_row)
                 if row:
                     rows.append(row)
     return rows, offsets, total
@@ -772,9 +762,8 @@ class HomComplex:
 
 def _sparse_lines(m: Matrix, by_column: bool) -> list:
     """Nonzero entries of each column (or row) of m as (index, value) pairs."""
-    if by_column:
-        return [[(j, m.at(j, s)) for j in range(m.rows) if m.at(j, s)] for s in range(m.cols)]
-    return [[(i, m.at(r, i)) for i in range(m.cols) if m.at(r, i)] for r in range(m.rows)]
+    lines = [m.entries[s :: m.cols] for s in range(m.cols)] if by_column else map(m.row, range(m.rows))
+    return [[(i, v) for i, v in enumerate(line) if v] for line in lines]
 
 
 def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:

@@ -115,11 +115,6 @@ class FinPoset:
                     depth[b] = max(depth[b], depth[a] + 1)
         return max(depth.values(), default=0)
 
-    def restricted(self, subset: Iterable[str]) -> "FinPoset":
-        keep = [a for a in self.elements if a in set(subset)]
-        rel = frozenset((a, b) for (a, b) in self.leq if a in keep and b in keep)
-        return FinPoset(tuple(keep), rel)
-
     def is_total(self) -> bool:
         return all(self.le(a, b) or self.le(b, a) for a in self.elements for b in self.elements)
 
@@ -205,12 +200,6 @@ def down_set(p: FinPoset, a: str, strict: bool = False) -> set[str]:
     if not p.has(a):
         raise KeyError(f"unknown element {a!r}")
     return {b for b in p.elements if (p.lt(b, a) if strict else p.le(b, a))}
-
-
-def up_set(p: FinPoset, a: str, strict: bool = False) -> set[str]:
-    if not p.has(a):
-        raise KeyError(f"unknown element {a!r}")
-    return {b for b in p.elements if (p.lt(a, b) if strict else p.le(a, b))}
 
 
 def is_level_morphism(f: MonotoneMap) -> bool:

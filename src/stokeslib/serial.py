@@ -142,27 +142,27 @@ def morphism_from_json(d) -> FibrationMorphism:
 # -- functors -------------------------------------------------------------------
 
 
-def _total_key(x: str, a: str) -> str:
+def total_key(x: str, a: str) -> str:
+    """The JSON key of the total object (x, a), read back by ``parse_total_key``."""
     return f"({x},{a})"
 
 
-def _parse_total_key(s: str) -> tuple[str, str]:
-    body = s[1:-1]
-    x, _, a = body.partition(",")
+def parse_total_key(s: str) -> tuple[str, str]:
+    x, _, a = s[1:-1].partition(",")
     return x, a
 
 
 def functor_to_json(f: StokesFunctor) -> dict:
     return {
         "fibration": fibration_to_json(f.fibration),
-        "spaces": {_total_key(x, a): d for (x, a), d in f.spaces.items()},
+        "spaces": {total_key(x, a): d for (x, a), d in f.spaces.items()},
         "arrows": {aid: matrix_to_json(m) for aid, m in f.arrows.items()},
     }
 
 
 def functor_from_json(d) -> StokesFunctor:
     fib = fibration_from_json(d["fibration"])
-    spaces = {_parse_total_key(k): int(v) for k, v in d["spaces"].items()}
+    spaces = {parse_total_key(k): int(v) for k, v in d["spaces"].items()}
     arrows = {str(k): matrix_from_json(v) for k, v in d["arrows"].items()}
     return StokesFunctor(fib, spaces, arrows)
 

@@ -1,4 +1,8 @@
+import functools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslib import (
     FinPoset,
@@ -15,14 +19,20 @@ from stokeslib import (
     natural_transformation_basis,
     tangent_dims,
 )
+from stokeslib.exactmath import block_diag
 from stokeslib.fixtures import rank_one_one_functor, two_value_circle
+from stokeslib.functors import generating_arrow_shapes
 
 from helpers import (
+    mat_rows,
     oracle_centralizer_dim,
     oracle_cohomology_dims,
     oracle_hom_complex,
+    oracle_matmul,
+    random_functor_with_dims,
     random_invertible,
     random_standard_functor,
+    three_value_circle,
 )
 
 
@@ -148,15 +158,13 @@ def test_diamond_base_complex_and_composition_normalization():
     assert hc.cohomology_dims() == [3, 0, 0, 0]
 
 
-def test_nondegenerate_chains_maxlen():
+def test_nondegenerate_chains_of_a_four_element_chain():
     from stokeslib import TotalCategory, nondegenerate_chains
 
     base = make_poset_base(FinPoset.antichain(["x"]))
     c4 = FinPoset.chain(["a", "b", "c", "d"])
     fib = StokesFibration(base, {"x": c4}, {})
     total = TotalCategory.of(fib)
-    capped = nondegenerate_chains(total, maxlen=1)
-    assert set(capped.keys()) == {0, 1}
     full = nondegenerate_chains(total)
     assert max(full.keys()) == 3
     assert len(full[3]) == 1  # the unique cover chain a<b<c<d
@@ -255,3 +263,54 @@ def test_hom_complex_reads_each_morphism_once_per_functor(monkeypatch):
         assert len(calls) == len(set(calls))
         assert {key for _, key in calls} <= nonidentity
         assert {who for who, _ in calls} <= {id(a), id(b)}
+
+
+_DIAMOND = FinPoset.from_relation(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+
+
+@functools.cache
+def _three_value_fibration():
+    return three_value_circle().fibration
+
+
+def _direct_sum(f: StokesFunctor, h: StokesFunctor) -> StokesFunctor:
+    spaces = {k: f.spaces[k] + h.spaces[k] for k in f.spaces}
+    return StokesFunctor(f.fibration, spaces, {k: block_diag([f.arrows[k], h.arrows[k]]) for k in f.arrows})
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    on_circle=st.booleans(),
+    dims_f=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    dims_g=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    summand_first=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_natural_transformations_of_mixed_pairs_match_the_oracles(on_circle, dims_f, dims_g, summand_first, seed):
+    """Pairs (f, g) with different dimension vectors on one fibration: every
+    basis element is natural by the schoolbook product, and the basis has
+    the size of Ext^0 of the dense complex.
+
+    On the three-value circle, random gluings leave no maps between two
+    unrelated functors, so the pair is f and f plus one rank-one summand,
+    in either order; ranks stay at most 2 to keep the dense oracle small.
+    """
+    rng = random.Random(seed)
+    if on_circle:
+        fib = _three_value_fibration()
+        f = random_standard_functor(fib, {v: min(d, 1) for v, d in zip("uvw", dims_f)}, rng, conjugate=True)
+        extra = "uvw"[dims_g[0] % 3]
+        h = random_standard_functor(fib, {v: int(v == extra) for v in "uvw"}, rng, conjugate=True)
+        g = _direct_sum(f, h)
+        if summand_first:
+            f, g = g, f
+    else:
+        f, g = (random_functor_with_dims(_DIAMOND, dict(zip("abcd", d)), rng) for d in (dims_f, dims_g))
+    basis = natural_transformation_basis(f, g)
+    for eta in basis:
+        for arrow_id, (tgt, src) in generating_arrow_shapes(f.fibration).items():
+            fm, gm = f.arrows[arrow_id], g.arrows[arrow_id]
+            left = oracle_matmul(mat_rows(eta[tgt]), mat_rows(fm), fm.cols)
+            right = oracle_matmul(mat_rows(gm), mat_rows(eta[src]), f.spaces[src])
+            assert left == right, arrow_id
+    assert len(basis) == oracle_cohomology_dims(*oracle_hom_complex(f, g))[0]

@@ -463,6 +463,52 @@ def test_cli_jobs_never_exceed_the_inputs(tmp_path, space, monkeypatch):
     assert seen == [2]
 
 
+def test_cli_builds_its_parser_once_per_process(tmp_path, space, monkeypatch):
+    """Three in-process commands build one parser: the top level and its 17 subcommands."""
+    import argparse
+
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    path = tmp_path / "f.json"
+    path.write_text(serial.dumps(serial.functor_to_json(nonsplit_witness(space))))
+    codes = [run_cli(tmp_path, cmd, "--input", str(path)) for cmd in ("validate", "is-stokes", "split")]
+    assert codes == [0, 0, 1]
+    assert len(builds) == 1 + 17
+
+
+def test_cli_jobs_run_real_workers_with_the_same_outputs(tmp_path, space):
+    """A real process pool pickles each payload; its files match a serial run byte for byte."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    paths = []
+    for i, f in enumerate((rank_one_one_functor(space), nonsplit_witness(space))):
+        paths += ["--input", str(tmp_path / f"f{i}.json")]
+        (tmp_path / f"f{i}.json").write_text(serial.dumps(serial.functor_to_json(f)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    outputs = []
+    for jobs in ("2", "1"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        out_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokeslib.cli", "split", *paths, "--jobs", jobs, "--output", str(out_dir / "v")],
+            env=env, capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
+
+
 def _tampered_spaces(doc: dict) -> dict:
     """Copies of a circle-space document with one field edited by hand."""
     import copy

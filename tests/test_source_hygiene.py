@@ -44,17 +44,20 @@ def private_definitions(tree: ast.Module) -> set:
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
+def names_read_by(node: ast.AST) -> set:
+    """The names one node reads: as a name or an attribute, or imported by name."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {a.name for a in node.names}
+    return set()
+
+
 def read_names(tree: ast.Module) -> set:
-    """Names read as a name or an attribute, or imported by name."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(a.name for a in node.names)
-    return out
+    """Names read anywhere in the tree."""
+    return set().union(*map(names_read_by, ast.walk(tree)))
 
 
 def dead_private_names(sources: dict) -> list:
@@ -101,3 +104,53 @@ def test_foreign_imports_are_found():
         "def f():\n    import hypothesis\n"
     )
     assert foreign_imports(tree) == ["hypothesis", "numpy.linalg", "sympy"]
+
+
+
+def public_definitions(tree: ast.Module) -> set:
+    """Module-level functions and classes, and the methods of those classes, with public names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {n for n in names if not n.startswith("_")}
+
+
+def names_read_outside_their_definitions(tree: ast.Module) -> set:
+    """Names read anywhere in the tree, except inside a definition of the same name."""
+    out = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        out |= names_read_by(node) - enclosing
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def dead_public_names(library: dict, tests: dict) -> list:
+    """module:name for every public definition of the library that no library
+    module (the ``__init__.py`` re-exports aside) and no test reads."""
+    trees = {name: ast.parse(text) for name, text in library.items()}
+    readers = [t for name, t in trees.items() if name != "__init__.py"] + [ast.parse(t) for t in tests.values()]
+    read = set().union(*(names_read_outside_their_definitions(t) for t in readers))
+    return sorted(f"{name}:{n}" for name, t in trees.items() for n in public_definitions(t) - read)
+
+
+def test_no_unread_public_api():
+    library = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    tests = {p.name: p.read_text(encoding="utf-8") for p in sorted(Path(__file__).parent.glob("*.py"))}
+    assert dead_public_names(library, tests) == []
+
+
+def test_unread_public_api_is_found():
+    library = {
+        "__init__.py": "from .a import Shape, helper, orphan\n",
+        "a.py": "class Shape:\n    def area(self):\n        return 0\n    def unused(self):\n        return self.unused()\n"
+        "def helper():\n    return Shape().area()\ndef orphan():\n    return orphan()\n",
+    }
+    tests = {"test_a.py": "from stokeslib.a import helper\nhelper()\n"}
+    assert dead_public_names(library, tests) == ["a.py:orphan", "a.py:unused"]
