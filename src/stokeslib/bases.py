@@ -111,6 +111,8 @@ def make_poset_base(p: FinPoset) -> BaseCategory:
     if not ok:
         raise ValueError(f"invalid poset: {why}")
     arrows = tuple(BaseArrow(f"{a}<{b}", a, b) for a, b in p.covers())
+    if len({arr.name for arr in arrows}) < len(arrows):
+        raise ValueError("two covers get one arrow name 'a<b'; element names with '<' make it ambiguous")
     return BaseCategory("poset", tuple(p.elements), arrows, p, 0)
 
 

@@ -99,16 +99,17 @@ class StokesFunctor:
 
 
 def generating_arrow_shapes(fib: StokesFibration) -> dict:
-    """Expected (target, source) total objects for every generating arrow id."""
-    shapes = {}
-    for x in fib.base.objects:
-        for a, b in fib.fiber(x).covers():
-            shapes[cover_arrow_id(x, a, b)] = ((x, b), (x, a))
+    """Expected (target, source) total objects for every generating arrow id;
+    ValueError when two arrows get one id, as names with '<' or '::' can."""
+    shapes = [(cover_arrow_id(x, a, b), ((x, b), (x, a))) for x in fib.base.objects for a, b in fib.fiber(x).covers()]
     for arr in fib.base.arrows:
         t = fib.transition(arr.name)
         for a in fib.fiber(arr.source).elements:
-            shapes[lift_arrow_id(arr.name, a)] = ((arr.target, t(a)), (arr.source, a))
-    return shapes
+            shapes.append((lift_arrow_id(arr.name, a), ((arr.target, t(a)), (arr.source, a))))
+    out = dict(shapes)
+    if len(out) < len(shapes):
+        raise ValueError("two generating arrows share one id; element names with '<' or '::' make ids ambiguous")
+    return out
 
 
 def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
@@ -121,7 +122,10 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
         for a in fib.fiber(x).elements:
             if (x, a) not in f.spaces or f.spaces[(x, a)] < 0:
                 return False, f"missing or negative dimension at ({x},{a})"
-    shapes = generating_arrow_shapes(fib)
+    try:
+        shapes = generating_arrow_shapes(fib)
+    except ValueError as exc:
+        return False, str(exc)
     for arrow_id, (tgt, src) in shapes.items():
         m = f.arrows.get(arrow_id)
         if m is None:

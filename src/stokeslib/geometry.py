@@ -356,80 +356,66 @@ def _locate_arc(s: CircleSpace, arc: Arc) -> tuple[int, int, int] | None:
     return i, j, count
 
 
-def _holds_each_pair_once(s: CircleSpace, located) -> bool:
-    if located is None:
-        return False
-    i, _, count = located
-    inside = [pair for r in range(count) for pair in s.provenance[(i + r) % len(s.points)]]
-    return sorted(inside) == s.data.pairs()
+def _window(s: CircleSpace, i: int) -> int | None:
+    """The number of points in the run from p[i] whose provenance names every
+    pair exactly once, or None.  No pair has two Stokes points at one point,
+    so only the first run that names len(pairs) pairs can be that window; it
+    never holds all n points, because each pair has 2m >= 2 of them."""
+    pairs, n, inside = s.data.pairs(), len(s.points), []
+    for r in range(n):
+        inside += s.provenance[(i + r) % n]
+        if len(inside) >= len(pairs):
+            return r + 1 if sorted(inside) == pairs else None
+    return None
 
 
 def is_elementary_arc(s: CircleSpace, arc: Arc) -> bool:
     """Each unequal pair has exactly one Stokes point in the closed arc, in
-    its interior: no end is a point, and the provenance of the points inside
-    names every pair once.
+    its interior: no end is a point, and the points inside are a window.
 
     The order of the pair then flips across that point, because the zeros
     of Re(c * exp(-i*m*theta)) are simple; so the sides need no check.
     """
     if s.degenerate:
         return True
-    return not arc.full and _holds_each_pair_once(s, _locate_arc(s, arc))
+    located = None if arc.full else _locate_arc(s, arc)
+    return located is not None and _window(s, located[0]) == located[2]
 
 
-def _interiors_cover(s: CircleSpace, located: list) -> bool:
-    """The open elementary arcs, given as (arc, (i, j, count)), cover the circle.
+def _first_gap(n: int, windows: dict) -> int | None:
+    """The first g whose gap (p[g], p[g+1]) the arcs of the windows {i: count}
+    leave uncovered, or None.
 
-    Elementary arcs end in two different gaps, so it suffices that each gap
-    (p[k], p[k+1]) lies inside one arc, or that an arc ending in it ends
-    after another starts in it; a point is then covered with the gap before it.
+    The arc of window (i, c) runs from the first half of gap i-1 to the
+    second half of gap i+c-1, so gap g is covered when one window holds p[g]
+    and p[g+1], or one ends at p[g] and another starts at p[g+1]; either way
+    p[g] lies in a window.  Any elementary arc holds a window and ends in its
+    flanking gaps, so elementary arcs cover no gap that these arcs miss.
     """
-    n = len(s.points)
-    for k in range(n):
-        if any((k - i) % n < count - 1 for _, (i, _, count) in located):
-            continue
-        ends = [(a.end, j) for a, (_, j, _) in located if (j - 1) % n == k]
-        starts = [(a.start, i) for a, (i, _, _) in located if (i - 1) % n == k]
-        if not any(_before(x, i, y, j) for x, i in starts for y, j in ends):
-            return False
-    return True
+    inner = {(i + r) % n for i, c in windows.items() for r in range(c - 1)}
+    ends = {(i + c - 1) % n for i, c in windows.items()}
+    return next((g for g in range(n) if g not in inner and not (g in ends and (g + 1) % n in windows)), None)
 
 
 def elementary_cover(s: CircleSpace) -> list[Arc] | None:
-    """Closed elementary arcs whose interiors cover the circle, or None.
-
-    Arcs of exact length pi/m around the top level are placed at gap
-    midpoints; when a gap has the full length pi/m the midpoint-centred arc
-    degenerates onto Stokes points, so point-flanking and quarter-shifted
-    candidates are added.  Every candidate is verified, and failure of the
-    verified set to cover the circle reports None (one level step is then
-    needed first).
-    """
+    """Closed elementary arcs whose interiors cover the circle, one per window
+    of the sorted points, or None, which proves that no such arcs exist (one
+    level step is then needed first).  Windows are dropped in increasing
+    start while the rest still cover, so no arc of the cover is redundant."""
     if s.degenerate:
         return [Arc(None, None, full=True)]
-    e = s.data
-    m = max(int(leading_data(e.values[a], e.values[b])[0]) for a, b in e.pairs())
-    half = Fraction(1, 2 * m)  # half arc length, in units of pi
     n = len(s.points)
-    mids = s.arc_samples  # rational_angle_between(p[i], p[i+1])
-    centers: list[ExactAngle] = []
-    for i in range(n):
-        lo, mid, hi = s.points[i], mids[i], s.points[(i + 1) % n]
-        centers += [mid, rational_angle_between(lo, mid), rational_angle_between(mid, hi)]
-    candidates = [Arc(ExactAngle(c.t - half), ExactAngle(c.t + half)) for c in centers]
-    # arcs flanking each Stokes point, bounded by neighbouring gap samples
-    candidates += [Arc(mids[i - 1], mids[i]) for i in range(n)]
-    located = [(a, _locate_arc(s, a)) for a in candidates]
-    verified = [(a, loc) for a, loc in located if _holds_each_pair_once(s, loc)]
-    if not _interiors_cover(s, verified):
+    windows = {i: c for i in range(n) if (c := _window(s, i)) is not None}
+    if _first_gap(n, windows) is not None:
         return None
-    # prune arcs that are not needed for the cover
-    pruned = list(verified)
-    for a in list(verified):
-        rest = [x for x in pruned if x is not a]
-        if rest and _interiors_cover(s, rest):
-            pruned = rest
-    return [a for a, _ in pruned]
+    for i in list(windows):
+        rest = {k: c for k, c in windows.items() if k != i}
+        if _first_gap(n, rest) is None:
+            windows = rest
+    p, mid = s.points, s.arc_samples
+    ends = [(i, (i + c - 1) % n) for i, c in windows.items()]
+    return [Arc(rational_angle_between(p[i - 1], mid[i - 1]), rational_angle_between(mid[j], p[(j + 1) % n]))
+            for i, j in ends]
 
 
 # ---------------------------------------------------------------------------

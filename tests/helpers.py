@@ -1061,3 +1061,23 @@ def oracle_elementary_cover(s):
         if rest and oracle_interiors_cover(s, rest):
             pruned = rest
     return pruned
+
+
+def oracle_window_cover_exists(s) -> bool:
+    """Some closed elementary arcs cover the circle, decided on the n² arcs
+    from a quarter angle in the first half of one gap to a quarter angle in
+    the second half of another.  An elementary arc ends in two gaps and
+    holds the points between them, so it may be moved to these ends without
+    losing any of its points; arcs that end and start in one gap then
+    overlap inside it, and no coverage is lost."""
+    from stokeslib.directions import rational_angle_between
+    from stokeslib import Arc
+
+    if s.degenerate:
+        return True
+    n = len(s.points)
+    mids = [rational_angle_between(s.points[g], s.points[(g + 1) % n]) for g in range(n)]
+    first = [rational_angle_between(s.points[g], mids[g]) for g in range(n)]
+    second = [rational_angle_between(mids[g], s.points[(g + 1) % n]) for g in range(n)]
+    arcs = [Arc(first[g], second[h]) for g in range(n) for h in range(n)]
+    return oracle_interiors_cover(s, [a for a in arcs if oracle_is_elementary_arc(s, a)])

@@ -269,6 +269,8 @@ def test_criterion_7_elementarity_implies_splitting():
         ExponentialData({"a": IV.zero(), "b": IV.of((1, G(1))), "c": IV.of((1, G(2)))}),
         ExponentialData({"a": IV.zero(), "b": IV.of((2, G(1)))}),
         ExponentialData({"a": IV.zero(), "b": IV.of((1, G(1, 1)))}),
+        # mixed pole orders: the windows of the sorted points cover this circle too
+        ExponentialData({"a": IV.zero(), "b": IV.of((1, G(1))), "c": IV.of((2, G(1)))}),
     ]
     ok = True
     arcs_total = 0
@@ -296,7 +298,8 @@ def test_criterion_7_elementarity_implies_splitting():
         7,
         ok and elapsed < 120.0,
         elapsed,
-        f"split_global succeeds on 50 functors per elementary arc ({arcs_total} arcs, 5 data sets); witness NotSplit",
+        f"split_global succeeds on 50 functors per elementary arc ({arcs_total} arcs, {len(samples)} data sets);"
+        " witness NotSplit",
     )
 
 

@@ -72,6 +72,14 @@ def test_poset_base_one_point_and_invalid():
         make_poset_base(bad)
 
 
+def test_poset_base_rejects_colliding_arrow_names():
+    """Covers a < "b<c" and "a<b" < c would both be named "a<b<c", and one
+    transition would then serve for both arrows."""
+    p = FinPoset.from_relation(["a", "b<c", "a<b", "c"], [("a", "b<c"), ("a<b", "c")])
+    with pytest.raises(ValueError):
+        make_poset_base(p)
+
+
 def test_validate_fibration_and_path_independence():
     assert validate_fibration(two_value_circle_fibration())[0]
     # square base with non-commuting transitions

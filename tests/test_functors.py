@@ -53,6 +53,17 @@ def test_validate_zero_functor():
     assert split_global(f) is not None
 
 
+def test_validate_rejects_colliding_generating_arrow_ids():
+    """Covers u < "v<w" and "u<v" < w of one fiber share the id "x::u<v<w",
+    so one matrix would stand for two arrows."""
+    fiber = FinPoset.from_relation(["u", "v<w", "u<v", "w"], [("u", "v<w"), ("u<v", "w")])
+    assert cover_arrow_id("x", "u", "v<w") == cover_arrow_id("x", "u<v", "w")
+    spaces = {("x", e): 1 for e in fiber.elements}
+    f = StokesFunctor(point_fibration(fiber), spaces, {cover_arrow_id("x", "u", "v<w"): Matrix.identity(1)})
+    ok, why = validate_functor(f)
+    assert not ok and "id" in why
+
+
 def test_validate_detects_mismatched_composite():
     sq = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
     fib = point_fibration(sq)

@@ -43,6 +43,7 @@ from helpers import (
     oracle_elementary_cover,
     oracle_interiors_cover,
     oracle_is_elementary_arc,
+    oracle_window_cover_exists,
     random_standard_functor,
 )
 
@@ -291,11 +292,14 @@ def test_elementary_cover_examples():
     single = build_circle_space(ExponentialData({"a": ZERO}))
     assert elementary_cover(single) == [Arc(None, None, full=True)]
     mixed = build_circle_space(ExponentialData({"u": ZERO, "v": ZM1, "w": ZM2}))
-    assert elementary_cover(mixed) is None
+    cover = elementary_cover(mixed)
+    assert len(cover) == 4
+    assert all(oracle_is_elementary_arc(mixed, a) for a in cover)
+    assert oracle_interiors_cover(mixed, cover)
 
 
 def test_cover_succeeds_on_graded_pieces_after_level_step():
-    """Mixed orders fail at the top level; each graded stage is single level."""
+    """Each graded stage of mixed orders is single level, and gets a cover."""
     e3 = ExponentialData({"u": ZERO, "v": ZM1, "w": ZM2})
     # the top graded piece only distinguishes values within one level class:
     # classes {u, v} differ at order 1 -> the class-level space is single level
@@ -434,7 +438,7 @@ def test_cubic_three_value_set_gets_a_certified_cover():
     assert len(cs.points) == 18 and validate_fibration(cs.fibration)[0]
     assert pole_level_structure(cs).validate()[0]
     cover = elementary_cover(cs)
-    assert len(cover) == 7
+    assert len(cover) == 6
     assert all(oracle_is_elementary_arc(cs, a) for a in cover)
     assert oracle_interiors_cover(cs, cover)
 
@@ -497,25 +501,45 @@ def _oracle_strata(cs, arc) -> list:
     return out
 
 
+def _irredundant_oracle_cover(cs, cover) -> bool:
+    """Every arc is elementary, the interiors cover the circle, and no arc can be dropped."""
+    return (
+        all(oracle_is_elementary_arc(cs, a) for a in cover)
+        and oracle_interiors_cover(cs, cover)
+        and not any(oracle_interiors_cover(cs, cover[:i] + cover[i + 1 :]) for i in range(len(cover)))
+    )
+
+
 def test_elementary_cover_equals_the_interval_oracle():
+    """None exactly where no elementary arcs cover the circle, never where the
+    old candidate search found a cover; the coverage of any set of window
+    arcs, each from the first half of the gap before its points to the
+    second half of the gap after them, is the interval oracle's."""
     from stokeslib import geometry
 
     for values in ORACLE_SETS:
         cs = build_circle_space(ExponentialData(values))
         cover = elementary_cover(cs)
-        assert cover == oracle_elementary_cover(cs)
-        # interiors_cover against its oracle on subsets of elementary arcs
-        pool = [a for a in _drawn_arcs(cs, random.Random(7), 40) + (cover or []) if is_elementary_arc(cs, a)]
-        rng = random.Random(len(pool))
+        assert (cover is not None) == oracle_window_cover_exists(cs)
+        if oracle_elementary_cover(cs) is not None:
+            assert cover is not None
+        if cover is not None:
+            assert _irredundant_oracle_cover(cs, cover)
+        n = len(cs.points)
+        windows = {i: c for i in range(n) if (c := geometry._window(cs, i)) is not None}
+        arcs = {i: Arc(_gap_angles(cs, (i - 1) % n)[0], _gap_angles(cs, (i + c - 1) % n)[2]) for i, c in windows.items()}
+        assert all(oracle_is_elementary_arc(cs, a) for a in arcs.values())
+        rng = random.Random(n)
         for t in range(12):
-            arcs = [a for a in pool if rng.random() < (0.5 if t % 2 else 0.9)]
-            located = [(a, geometry._locate_arc(cs, a)) for a in arcs]
-            assert geometry._interiors_cover(cs, located) == oracle_interiors_cover(cs, arcs)
+            kept = {i: c for i, c in windows.items() if rng.random() < (0.5 if t % 2 else 0.9)}
+            want = oracle_interiors_cover(cs, [arcs[i] for i in kept])
+            assert (geometry._first_gap(n, kept) is None) == want
 
 
 def test_elementarity_and_covers_read_the_sorted_points(monkeypatch):
-    """is_elementary_arc and the cover check make no angle evaluation beyond
-    locating the arc ends; a pruned cover loses coverage without any one arc."""
+    """is_elementary_arc makes no angle evaluation beyond locating the arc
+    ends, elementary_cover locates no angle once the circle is built, and
+    the cover loses coverage without any one arc."""
     from stokeslib import geometry
 
     cs = build_circle_space(ExponentialData(N3_PLAIN))
@@ -526,36 +550,45 @@ def test_elementarity_and_covers_read_the_sorted_points(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no angle evaluation expected")
 
+    for name in ("locate_angle", "order_at", "stokes_directions", "pair_sign_at"):
+        monkeypatch.setattr(geometry, name, refuse)
+    assert elementary_cover(cs) == cover
+    monkeypatch.undo()
     for name in ("rational_angle_between", "order_at", "stokes_directions", "pair_sign_at"):
         monkeypatch.setattr(geometry, name, refuse)
     assert [is_elementary_arc(cs, a) for a in arcs] == want
-    located = [(a, geometry._locate_arc(cs, a)) for a in cover]
-    assert geometry._interiors_cover(cs, located)
-    for i in range(len(located)):
-        assert not geometry._interiors_cover(cs, located[:i] + located[i + 1 :])
+    monkeypatch.undo()
+    assert _irredundant_oracle_cover(cs, cover)
 
 
 def test_circle_and_cover_bytes_are_pinned():
     """The circle-space JSON and the cover of three value sets with irrational
-    Stokes directions, as SHA-256 digests recorded before the interval reads
-    became exact: the arc samples come from endpoints rounded to 53 bits at
-    the first precision, as they did then."""
+    Stokes directions, as SHA-256 digests.  The circle digests were recorded
+    before the interval reads became exact: the arc samples come from
+    endpoints rounded to 53 bits at the first precision, as they did then.
+    The covers come from the windows of the sorted points, and were pinned
+    after every arc passed the interval oracles."""
     import hashlib
 
     from stokeslib import serial
 
     pinned = [
         ({"v0": ZERO, "v1": IV.of((1, G(2, 2))), "v2": IV.of((2, G(-1, 3)))},
-         "e799ed052625cb8480ee4d4e3166c3b4a1612bb954be7138b9ff30a5c46f2617"),
+         "49486a809caf3584cb918e260fc8e682377bdffdcd321865fb6b04dc85acea35",
+         "4989cfcdcc882be3ddbaa6f95554fdf3df1c5b20674830928c97261fa2ebc12a"),
         ({"v0": ZERO, "v1": IV.of((1, G(3, -2))), "v2": IV.of((2, G(3, -2)), (1, G(2)))},
-         "ea8417513a77a4863406501786fe1c3a88abfdbff6a5c6317fd47c9bf843db40"),
+         "8275847853a20b5623cbed11e5dde588f89361c11db5f28f8642007e71d71046",
+         "4a5b5fb8783a06151214d7a822f4fc0bd081f1e70656d42358ec8a3375118ee5"),
         ({"v0": ZERO, "v1": IV.of((2, G(-2, 2)), (1, G(-1, -2))), "v2": IV.of((1, G(-2, -3))),
           "v3": IV.of((2, G(3, 3)), (1, G(1, 1)))},
-         "3745f93008996eb34373767aa5ac02e16f7ca930438bd1f7e6b81cb453556d81"),
+         "94054f8e032865aa871b7161c290700cd0f66903d2e421dcc3b73062ce465232",
+         "60fb80613b56d087cceae65309e0f25f1ae80041b85a4e0b8339ce6ebcca93c0"),
     ]
-    for values, want in pinned:
+    for values, want_circle, want_cover in pinned:
         cs = build_circle_space(ExponentialData(values))
         cover = elementary_cover(cs)
+        assert _irredundant_oracle_cover(cs, cover)
         text = serial.dumps(serial.circle_space_to_json(cs))
-        text += serial.dumps(None if cover is None else [serial.arc_to_json(a) for a in cover])
-        assert hashlib.sha256(text.encode()).hexdigest() == want
+        assert hashlib.sha256(text.encode()).hexdigest() == want_circle
+        text = serial.dumps([serial.arc_to_json(a) for a in cover])
+        assert hashlib.sha256(text.encode()).hexdigest() == want_cover

@@ -525,11 +525,11 @@ def _tampered_spaces(doc: dict) -> dict:
 
 def test_cli_rejects_a_circle_space_that_its_data_does_not_give(tmp_path, capsys):
     """cover, elementary and the --space level commands rebuild the space from
-    its values and exit 2 on any difference; an untouched document keeps the
-    stdout it had before the check."""
+    its values and exit 2 on any difference; an untouched document keeps its
+    bytes, and its cover is pinned after its arcs pass the interval oracles."""
     import hashlib
     import random
-    from helpers import random_standard_functor, three_value_circle
+    from helpers import oracle_interiors_cover, oracle_is_elementary_arc, random_standard_functor, three_value_circle
 
     two = serial.circle_space_to_json(two_value_circle())
     arc = {"start": {"kind": "exact", "t": "1/4"}, "end": {"kind": "exact", "t": "3/4"}}
@@ -556,9 +556,16 @@ def test_cli_rejects_a_circle_space_that_its_data_does_not_give(tmp_path, capsys
         return run
 
     capsys.readouterr()
+    assert hashlib.sha256(serial.dumps(two).encode()).hexdigest() == (
+        "daa9a1f66244899fdd288b71557e1010f69169d45c8a507a44abd1b8f47aa371"
+    )
     assert cover(two) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "74c4c3746809faf6f48f73286289a5434444d75ae87b1dc9e2e4bbaed5de5af2"
+    out = capsys.readouterr().out
+    arcs = [serial.arc_from_json(a) for a in json.loads(out)["cover"]]
+    assert all(oracle_is_elementary_arc(two_value_circle(), a) for a in arcs)
+    assert oracle_interiors_cover(two_value_circle(), arcs)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b605cd2a06a1bc3371ac96d578b643ec8c67def2557f708e89f393e0d2bc1dc"
     )
     assert elementary(two) == 0 and json.loads(capsys.readouterr().out) == {"elementary": True}
     cases = [(cover, two), (elementary, two)]
@@ -568,6 +575,38 @@ def test_cli_rejects_a_circle_space_that_its_data_does_not_give(tmp_path, capsys
             assert run(bad) == 2, what
             captured = capsys.readouterr()
             assert captured.out == "" and "differs from the space built from its data" in captured.err
+
+
+def test_cli_rejects_colliding_generating_arrow_ids(tmp_path, capsys):
+    """Element names with '<' can give two generating arrows one id: a fiber
+    with covers u < "v<w" and "u<v" < w, or a poset base with covers
+    a < "b<c" and "a<b" < c.  is-stokes, split and sections exit 2."""
+    from stokeslib import FinPoset
+
+    def point(name):
+        return serial.poset_to_json(FinPoset.antichain([name]))
+
+    fiber = FinPoset.from_relation(["u", "v<w", "u<v", "w"], [("u", "v<w"), ("u<v", "w")])
+    functor = {
+        "fibration": {"base": {"kind": "poset", "poset": point("x")},
+                      "fibers": {"x": serial.poset_to_json(fiber)}, "transitions": {}},
+        "spaces": {serial.total_key("x", e): 1 for e in fiber.elements},
+        "arrows": {"x::u<v<w": serial.matrix_to_json(Matrix.identity(1))},
+    }
+    base = FinPoset.from_relation(["a", "b<c", "a<b", "c"], [("a", "b<c"), ("a<b", "c")])
+    fibration = {
+        "base": {"kind": "poset", "poset": serial.poset_to_json(base)},
+        "fibers": {x: point("v") for x in base.elements},
+        "transitions": {"a<b<c": {"v": "v"}},
+    }
+    f_path, fib_path = tmp_path / "f.json", tmp_path / "fib.json"
+    f_path.write_text(serial.dumps(functor))
+    fib_path.write_text(serial.dumps(fibration))
+    for cmd, path in (("is-stokes", f_path), ("split", f_path), ("sections", fib_path)):
+        capsys.readouterr()
+        assert run_cli(tmp_path, cmd, "--input", str(path)) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err, cmd
 
 
 def test_cli_level_commands_refuse_plus_in_value_names(tmp_path):
