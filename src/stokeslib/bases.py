@@ -4,7 +4,9 @@ A stratified circle with n point strata is presented by the zigzag quiver
 with n points, n arcs and two arrows per point (counterclockwise and
 clockwise into the adjacent arcs); since arcs are contractible this free
 category is the exit category of the stratified circle.  Polyhedral bases
-are posets, with morphisms the comparable pairs.
+are posets.  No two nonidentity zigzag arrows compose, so a circle-base
+morphism is an identity or one arrow; a poset base has one morphism per
+comparable pair.  Its ends, plus the arrow name over a circle, determine it.
 """
 
 from __future__ import annotations
@@ -22,22 +24,6 @@ class BaseArrow:
 
 
 @dataclass(frozen=True)
-class BaseMorphism:
-    """A morphism of the base category with a generator decomposition."""
-
-    source: str
-    target: str
-    gens: tuple[str, ...]  # generating arrow names, applied left to right
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.gens and self.source == self.target
-
-    def key(self) -> tuple:
-        return (self.source, self.target, self.gens)
-
-
-@dataclass(frozen=True)
 class BaseCategory:
     kind: str  # "circle" or "poset"
     objects: tuple[str, ...]
@@ -50,43 +36,6 @@ class BaseCategory:
             if a.name == name:
                 return a
         raise KeyError(f"unknown base arrow {name!r}")
-
-    def morphisms(self) -> list[BaseMorphism]:
-        """All morphisms: identities plus one representative per hom class.
-
-        For a poset base parallel generator paths are equal, so each
-        comparable pair carries a single morphism; for a circle base there
-        are no composable generator pairs, so morphisms are the arrows.
-        """
-        out = [BaseMorphism(x, x, ()) for x in self.objects]
-        if self.kind == "circle":
-            out.extend(BaseMorphism(a.source, a.target, (a.name,)) for a in self.arrows)
-            return out
-        assert self.poset is not None
-        for x in self.poset.elements:
-            for y in self.poset.elements:
-                if self.poset.lt(x, y):
-                    out.append(BaseMorphism(x, y, tuple(self._hasse_path(x, y))))
-        return out
-
-    def _hasse_path(self, x: str, y: str) -> list[str]:
-        # one cover path from x up to y (poset base)
-        assert self.poset is not None
-        if x == y:
-            return []
-        for a, b in self.poset.covers():
-            if a == x and self.poset.le(b, y):
-                return [f"{a}<{b}"] + self._hasse_path(b, y)
-        raise ValueError(f"no cover path from {x} to {y}")
-
-    def compose(self, first: BaseMorphism, second: BaseMorphism) -> BaseMorphism:
-        """second o first, with the canonical generator decomposition."""
-        if first.target != second.source:
-            raise ValueError("morphisms not composable")
-        if self.kind == "poset" and (first.gens or second.gens):
-            # parallel cover paths are equal in a poset base; renormalize
-            return BaseMorphism(first.source, second.target, tuple(self._hasse_path(first.source, second.target)))
-        return BaseMorphism(first.source, second.target, first.gens + second.gens)
 
 
 def make_circle_base(n: int) -> BaseCategory:

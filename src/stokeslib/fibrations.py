@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import BaseCategory, BaseFunctor, BaseMorphism, make_circle_base
+from .bases import BaseCategory, BaseFunctor, make_circle_base
 from .posets import FinPoset, MonotoneMap, graded_poset, is_level_morphism, underlying_set, validate_poset
 
 
@@ -22,9 +22,11 @@ class StokesFibration:
     def transition(self, arrow_name: str) -> MonotoneMap:
         return self.transitions[arrow_name]
 
-    def transition_along(self, m: BaseMorphism) -> MonotoneMap:
-        out = MonotoneMap.identity(self.fiber(m.source))
-        for g in m.gens:
+    def transition_along(self, x: str, arrows) -> MonotoneMap:
+        """The composite transition out of the fiber at x along the named
+        base arrows, applied left to right."""
+        out = MonotoneMap.identity(self.fiber(x))
+        for g in arrows:
             out = self.transition(g).compose_after(out)
         return out
 
@@ -237,18 +239,21 @@ def pullback_fibration(f: BaseFunctor, i: StokesFibration) -> StokesFibration:
 
 @dataclass(frozen=True)
 class TotalMorphism:
-    """A nonidentity-or-identity morphism (gamma, a, c) with f_gamma(a) <= c."""
+    """A morphism (x, a) -> (y, c) of the total category, f_gamma(a) <= c.
 
-    base: BaseMorphism
+    Its ends determine the base morphism gamma, except over the one-point
+    circle, where the parallel arrows p0+ and p0- both run p0 -> s0; so over
+    a circle base ``arrow`` names the base arrow crossed, or is None inside a
+    fiber.  Over a poset base it is always None.
+    """
+
     source: tuple[str, str]
     target: tuple[str, str]
+    arrow: str | None = None
 
     @property
     def is_identity(self) -> bool:
-        return self.base.is_identity and self.source == self.target
-
-    def key(self) -> tuple:
-        return (self.base.key(), self.source, self.target)
+        return self.source == self.target
 
 
 @dataclass
@@ -259,6 +264,11 @@ class TotalCategory:
     gamma: x -> y and a fiber comparison f_gamma(a) <= c; parallel
     generator paths over one gamma are identified by the cocartesian-lift
     relations, so these pairs already present the quotient category.
+
+    The category is acyclic: the fibers are posets, and the base is a zigzag
+    or a poset, so a morphism that leaves its fiber never comes back.  A
+    composite crosses at most one circle arrow, because no two nonidentity
+    zigzag arrows compose, so it keeps the arrow of whichever factor has one.
     """
 
     fibration: StokesFibration
@@ -267,16 +277,23 @@ class TotalCategory:
 
     @staticmethod
     def of(fib: StokesFibration) -> "TotalCategory":
-        objects = [(x, a) for x in fib.base.objects for a in fib.fiber(x).elements]
+        """Per base object the fiber pairs a <= c, then per circle arrow (in
+        arrow order) or per poset pair x < y (in element order) the pairs
+        f_gamma(a) <= c; a in source-fiber order, c in target-fiber order."""
+        base = fib.base
+        objects = [(x, a) for x in base.objects for a in fib.fiber(x).elements]
+        homs = [(x, x, None, []) for x in base.objects]
+        if base.kind == "circle":
+            homs += [(arr.source, arr.target, arr.name, [arr.name]) for arr in base.arrows]
+        else:
+            p = base.poset
+            pairs = [(x, y) for x in p.elements for y in p.elements if p.lt(x, y)]
+            homs += [(x, y, None, [f"{u}<{v}" for u, v in p.cover_path(x, y)]) for x, y in pairs]
         morphisms = []
-        for bm in fib.base.morphisms():
-            t = fib.transition_along(bm)
-            fib_target = fib.fiber(bm.target)
-            for a in fib.fiber(bm.source).elements:
-                fa = t(a)
-                for c in fib_target.elements:
-                    if fib_target.le(fa, c):
-                        morphisms.append(TotalMorphism(bm, (bm.source, a), (bm.target, c)))
+        for x, y, arrow, path in homs:
+            t, fy = fib.transition_along(x, path), fib.fiber(y)
+            for a in fib.fiber(x).elements:
+                morphisms += [TotalMorphism((x, a), (y, c), arrow) for c in fy.elements if fy.le(t(a), c)]
         return TotalCategory(fib, objects, morphisms)
 
     def nonidentity(self) -> list:
@@ -285,14 +302,7 @@ class TotalCategory:
     def compose(self, first: TotalMorphism, second: TotalMorphism) -> TotalMorphism:
         if first.target != second.source:
             raise ValueError("not composable")
-        return TotalMorphism(
-            self.fibration.base.compose(first.base, second.base), first.source, second.target
-        )
-
-    def check_acyclic(self) -> None:
-        for m in self.nonidentity():
-            if m.source == m.target:
-                raise ValueError(f"cycle detected through {m.source}")
+        return TotalMorphism(first.source, second.target, first.arrow or second.arrow)
 
 
 def nondegenerate_chains(t: TotalCategory) -> dict[int, list]:
@@ -301,7 +311,6 @@ def nondegenerate_chains(t: TotalCategory) -> dict[int, list]:
     Length 0 chains are the objects.  Enumeration stops at the first length
     with no chains.
     """
-    t.check_acyclic()
     chains: dict[int, list] = {0: list(t.objects)}
     by_source: dict = {}
     for m in t.nonidentity():

@@ -66,29 +66,25 @@ class StokesFunctor:
         return self.arrows[lift_arrow_id(base_arrow, a)]
 
     def fiber_matrix(self, x: str, a: str, b: str) -> Matrix:
-        """Composite along any cover path from a to b inside fiber x."""
-        fib = self.fibration.fiber(x)
-        if not fib.le(a, b):
-            raise ValueError(f"{a} is not below {b} in fiber at {x}")
-        if a == b:
-            return Matrix.identity(self.dim(x, a))
-        covers = fib.covers()
+        """Composite along one cover chain from a up to b inside fiber x."""
         out = None
-        while b != a:
-            u = next((u for u, v in covers if v == b and fib.le(a, u)), None)
-            if u is None:
-                raise ValueError(f"no cover path from {a} to {b} in fiber at {x}")
-            step = self.cover_matrix(x, u, b)
-            out = step if out is None else out @ step
-            b = u
-        return out
+        for u, v in self.fibration.fiber(x).cover_path(a, b):
+            step = self.cover_matrix(x, u, v)
+            out = step if out is None else step @ out
+        return Matrix.identity(self.dim(x, a)) if out is None else out
 
     def morphism_matrix(self, tm) -> Matrix:
-        """Value on a morphism of the total category."""
-        cur = tm.source[1]
+        """Value on a morphism of the total category: the lifts along its
+        base arrows, then the fiber composite at the target."""
+        x, cur = tm.source
         y, c = tm.target
+        base = self.fibration.base
+        if base.kind == "circle":
+            gens = [tm.arrow] if tm.arrow else []
+        else:
+            gens = [f"{u}<{v}" for u, v in base.poset.cover_path(x, y)]
         out = None
-        for g in tm.base.gens:
+        for g in gens:
             step = self.lift_matrix(g, cur)
             out = step if out is None else step @ out
             cur = self.fibration.transition(g)(cur)
@@ -799,7 +795,7 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
         run = 0
         for ch in chains.get(level, []):
             src, tgt = ends(level, ch)
-            offset[_chain_key(level, ch)] = run
+            offset[ch] = run
             run += fdim[src] * gdim[tgt]
         coords.append(offset)
         dims.append(run)
@@ -811,13 +807,12 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
     post_rows: dict = {}
 
     def structure(cache: dict, mats: dict, functor: StokesFunctor, m, by_column: bool) -> list:
-        key = m.key()
-        lines = cache.get(key)
+        lines = cache.get(m)
         if lines is None:
-            mat = mats.get(key)
+            mat = mats.get(m)
             if mat is None:
-                mat = mats[key] = functor.morphism_matrix(m)
-            lines = cache[key] = _sparse_lines(mat, by_column)
+                mat = mats[m] = functor.morphism_matrix(m)
+            lines = cache[m] = _sparse_lines(mat, by_column)
         return lines
 
     all_rows = []
@@ -827,21 +822,21 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
         for ch in chains.get(level + 1, []):
             src, tgt = ends(level + 1, ch)
             d_src, d_tgt = fdim[src], gdim[tgt]
-            r_off = coords[level + 1][_chain_key(level + 1, ch)]
+            r_off = coords[level + 1][ch]
             # face 0: drop the first morphism, precompose with F(ch[0])
-            first = coord[_chain_key(level, ch[1:] if level >= 1 else ch[0].target)]
+            first = coord[ch[1:] if level >= 1 else ch[0].target]
             first_width = fdim[ch[0].target]
             pre = structure(pre_cols, f_mats, f, ch[0], True)  # F(src) -> F(ch[0].target)
             # inner faces: merge consecutive morphisms
             inner = [
                 (
-                    coord[_chain_key(level, ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :])],
+                    coord[ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :]],
                     Fraction((-1) ** i),
                 )
                 for i in range(1, level + 1)
             ]
             # last face: drop the last morphism, postcompose with G(ch[-1])
-            last = coord[_chain_key(level, ch[:-1] if level >= 1 else ch[0].source)]
+            last = coord[ch[:-1] if level >= 1 else ch[0].source]
             post = structure(post_rows, g_mats, g, ch[-1], False)  # G(ch[-1].source) -> G(tgt)
             sign = (-1) ** (level + 1)
             for r in range(d_tgt):
@@ -862,12 +857,6 @@ def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
                         rows[r_off + rs] = row
         all_rows.append(rows)
     return HomComplex(dims, all_rows)
-
-
-def _chain_key(level: int, ch):
-    if level == 0:
-        return ch
-    return tuple(m.key() for m in ch)
 
 
 def ext_dims(f: StokesFunctor, g: StokesFunctor) -> list:

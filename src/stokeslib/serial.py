@@ -143,7 +143,10 @@ def morphism_from_json(d) -> FibrationMorphism:
 
 
 def total_key(x: str, a: str) -> str:
-    """The JSON key of the total object (x, a), read back by ``parse_total_key``."""
+    """The JSON key of the total object (x, a), read back by ``parse_total_key``
+    at its first comma; ValueError when x has a comma and so cannot be read back."""
+    if "," in x:
+        raise ValueError(f"base object {x!r} has a comma; its total keys cannot be read back")
     return f"({x},{a})"
 
 

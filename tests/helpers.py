@@ -24,7 +24,6 @@ from stokeslib import (
     make_circle_base,
     nondegenerate_chains,
 )
-from stokeslib.bases import BaseMorphism
 from stokeslib.exactmath import column_space_complement, hstack_all
 
 
@@ -115,10 +114,6 @@ def matrix_sparse_rows(m: Matrix) -> list[dict]:
 # dense nerve cochain complex (the oracle for the sparse hom_complex)
 
 
-def _chain_key(level: int, ch):
-    return ch if level == 0 else tuple(m.key() for m in ch)
-
-
 def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
     """(dims, dense differentials) of the nerve cochain complex Hom(F, G).
 
@@ -142,7 +137,7 @@ def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
         run = 0
         for ch in chains.get(level, []):
             src, tgt = ends(level, ch)
-            offset[_chain_key(level, ch)] = run
+            offset[ch] = run
             run += f.spaces[src] * g.spaces[tgt]
         coords.append(offset)
         dims.append(run)
@@ -154,14 +149,14 @@ def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
         for ch in chains.get(level + 1, []):
             src, tgt = ends(level + 1, ch)
             d_src, d_tgt = f.spaces[src], g.spaces[tgt]
-            r_off = coords[level + 1][_chain_key(level + 1, ch)]
+            r_off = coords[level + 1][ch]
 
             def out_idx(r: int, s: int) -> int:
                 return r_off + r * d_src + s
 
             # face 0: drop the first morphism, precompose with F(ch[0])
             face = ch[1:] if level >= 1 else ch[0].target
-            c_off = coords[level][_chain_key(level, face)]
+            c_off = coords[level][face]
             fsrc, ftgt = ends(level, face)
             pre = f.morphism_matrix(ch[0])
             for r in range(g.spaces[ftgt]):
@@ -173,14 +168,14 @@ def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
             # inner faces: merge consecutive morphisms
             for i in range(1, level + 1):
                 merged = ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :]
-                c_off = coords[level][_chain_key(level, merged)]
+                c_off = coords[level][merged]
                 sign = Fraction((-1) ** i)
                 for r in range(d_tgt):
                     for s in range(d_src):
                         ent[out_idx(r, s)][c_off + r * d_src + s] += sign
             # last face: drop the last morphism, postcompose with G(ch[-1])
             face = ch[:-1] if level >= 1 else ch[0].source
-            c_off = coords[level][_chain_key(level, face)]
+            c_off = coords[level][face]
             fsrc, ftgt = ends(level, face)
             post = g.morphism_matrix(ch[-1])
             sign = Fraction((-1) ** (level + 1))
@@ -405,11 +400,39 @@ def oracle_transition_failures(fib: StokesFibration) -> set:
         for y in p.elements:
             if p.lt(x, y):
                 composites = {
-                    tuple(sorted(fib.transition_along(BaseMorphism(x, y, tuple(path))).assignment.items()))
+                    tuple(sorted(fib.transition_along(x, path).assignment.items()))
                     for path in oracle_hasse_paths(p, x, y)
                 }
                 if len(composites) > 1:
                     out.add((x, y))
+    return out
+
+
+def oracle_total_morphisms(fib: StokesFibration) -> set:
+    """Every morphism of the total category as (source, target, circle arrow or None).
+
+    The base homs come from the definition: on a circle the identities and
+    each arrow, on a poset the pairs x <= y.  Over a pair x < y each cover
+    path's transitions are composed by hand, and all paths must agree."""
+    base = fib.base
+    if base.kind == "circle":
+        homs = [(x, x, None, [[]]) for x in base.objects]
+        homs += [(a.source, a.target, a.name, [[a.name]]) for a in base.arrows]
+    else:
+        p = base.poset
+        homs = [(x, y, None, oracle_hasse_paths(p, x, y)) for x in p.elements for y in p.elements if p.le(x, y)]
+    out = set()
+    for x, y, arrow, paths in homs:
+        composites = []
+        for path in paths:
+            t = {a: a for a in fib.fiber(x).elements}
+            for g in path:
+                t = {a: fib.transition(g)(c) for a, c in t.items()}
+            composites.append(t)
+        assert all(t == composites[0] for t in composites), (x, y)
+        fy = fib.fiber(y)
+        for a, fa in composites[0].items():
+            out.update(((x, a), (y, c), arrow) for c in fy.elements if fy.le(fa, c))
     return out
 
 
@@ -433,6 +456,29 @@ def oracle_lift_failures(f: StokesFunctor) -> set:
                 if len(composites) > 1:
                     out.add((x, y, a))
     return out
+
+
+def diamond_base_functor() -> StokesFunctor:
+    """A constant functor over the diamond base o < l, r < t: fiber u < v
+    with identity transitions, F = Q at u and Q^2 at v, u -> v the first
+    coordinate, identity lifts."""
+    from stokeslib import make_poset_base
+
+    sq = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
+    base = make_poset_base(sq)
+    fiber = FinPoset.chain(["u", "v"])
+    ident = MonotoneMap(fiber, fiber, {"u": "u", "v": "v"})
+    fib = StokesFibration(base, {x: fiber for x in base.objects}, {a.name: ident for a in base.arrows})
+    spaces = {}
+    arrows = {}
+    for x in base.objects:
+        spaces[(x, "u")] = 1
+        spaces[(x, "v")] = 2
+        arrows[cover_arrow_id(x, "u", "v")] = Matrix.from_rows([[1], [0]])
+    for arr in base.arrows:
+        arrows[lift_arrow_id(arr.name, "u")] = Matrix.identity(1)
+        arrows[lift_arrow_id(arr.name, "v")] = Matrix.identity(2)
+    return StokesFunctor(fib, spaces, arrows)
 
 
 # ---------------------------------------------------------------------------

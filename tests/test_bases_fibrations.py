@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stokeslib import (
@@ -21,7 +23,7 @@ from stokeslib import (
 )
 from stokeslib.fibrations import FibrationMorphism
 
-from helpers import subdivide_arc
+from helpers import all_labeled_posets, oracle_total_morphisms, random_set_fibration, subdivide_arc, three_value_circle
 
 
 def trivial_circle_fibration(n: int, fiber: FinPoset) -> StokesFibration:
@@ -128,16 +130,60 @@ def test_poset_base_total_category_is_poset():
         base, {x: fiber for x in base.objects}, {a.name: ident for a in base.arrows}
     )
     total = TotalCategory.of(fib)
-    seen = {}
+    # no two morphisms share both ends
+    assert len({(mor.source, mor.target) for mor in total.morphisms}) == len(total.morphisms)
     for mor in total.morphisms:
-        key = (mor.source, mor.target)
-        assert key not in seen or mor.source == mor.target or seen[key].base.key() == mor.base.key()
-        seen[key] = mor
         # antisymmetry: no morphism back unless identity
         if mor.source != mor.target:
             assert not any(
                 m2.source == mor.target and m2.target == mor.source for m2 in total.morphisms
             )
+
+
+def _check_total_category_against_oracle(fib):
+    total = TotalCategory.of(fib)
+    listed = [(m.source, m.target, m.arrow) for m in total.morphisms]
+    assert len(listed) == len(set(listed))
+    want = oracle_total_morphisms(fib)
+    assert set(listed) == want
+    nonidentity = [m for m in total.morphisms if m.source != m.target]
+    for m1 in nonidentity:
+        for m2 in nonidentity:
+            if m1.target != m2.source:
+                continue
+            # the base composite: no two circle arrows compose, a poset pair has no name
+            assert m1.arrow is None or m2.arrow is None
+            m = total.compose(m1, m2)
+            assert (m.source, m.target, m.arrow) == (m1.source, m2.target, m1.arrow or m2.arrow)
+            assert (m.source, m.target, m.arrow) in want
+
+
+def test_total_category_matches_the_oracle_on_circles():
+    """Antichain fibers with random transitions, and chain fibers, whose
+    fiber morphisms compose with the lifts on either side."""
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            _check_total_category_against_oracle(random_set_fibration(make_circle_base(n), rng))
+        _check_total_category_against_oracle(trivial_circle_fibration(n, FinPoset.chain(["a", "b", "c"])))
+    _check_total_category_against_oracle(three_value_circle().fibration)
+
+
+def test_total_category_matches_the_oracle_on_small_poset_bases():
+    """Every labeled poset on at most three elements, each fiber the chain
+    c0 < c1 < c2 shifted up by the growth of the down-set along x < y."""
+    chain = FinPoset.chain(["c0", "c1", "c2"])
+    for n in range(4):
+        for p in all_labeled_posets(n):
+            base = make_poset_base(p)
+            depth = {x: sum(p.le(z, x) for z in p.elements) for x in p.elements}
+            transitions = {}
+            for arr in base.arrows:
+                d = depth[arr.target] - depth[arr.source]
+                transitions[arr.name] = MonotoneMap(chain, chain, {f"c{i}": f"c{min(i + d, 2)}" for i in range(3)})
+            fib = StokesFibration(base, {x: chain for x in p.elements}, transitions)
+            assert validate_fibration(fib) == (True, "ok")
+            _check_total_category_against_oracle(fib)
 
 
 def test_sections_and_locus():

@@ -24,6 +24,7 @@ from stokeslib.fixtures import rank_one_one_functor, two_value_circle
 from stokeslib.functors import generating_arrow_shapes
 
 from helpers import (
+    diamond_base_functor,
     mat_rows,
     oracle_centralizer_dim,
     oracle_cohomology_dims,
@@ -135,27 +136,29 @@ def test_long_chain_complex_squares_to_zero_and_is_projectively_acyclic():
     assert hc.cohomology_dims() == [6, 0, 0, 0]
 
 
-def test_diamond_base_complex_and_composition_normalization():
-    sq = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
-    base = make_poset_base(sq)
-    fiber = FinPoset.chain(["u", "v"])
-    ident = MonotoneMap(fiber, fiber, {"u": "u", "v": "v"})
-    fib = StokesFibration(base, {x: fiber for x in base.objects}, {a.name: ident for a in base.arrows})
-    spaces = {}
-    arrows = {}
-    for x in base.objects:
-        spaces[(x, "u")] = 1
-        spaces[(x, "v")] = 2
-        arrows[cover_arrow_id(x, "u", "v")] = Matrix.from_rows([[1], [0]])
-    for arr in base.arrows:
-        arrows[lift_arrow_id(arr.name, "u")] = Matrix.identity(1)
-        arrows[lift_arrow_id(arr.name, "v")] = Matrix.identity(2)
-    f = StokesFunctor(fib, spaces, arrows)
+def test_diamond_base_complex_and_composition_normalization(monkeypatch):
+    f = diamond_base_functor()
     hc = checked_complex(f, f)
     for d0, d1 in zip(hc.differentials, hc.differentials[1:]):
         assert (d1 @ d0).is_zero()
     # constant functor over a contractible base: H^0 only
     assert hc.cohomology_dims() == [3, 0, 0, 0]
+    # composition reads no cover path: a morphism is its two ends
+    from stokeslib import TotalCategory
+
+    total = TotalCategory.of(f.fibration)
+
+    def no_covers(self):
+        raise AssertionError("composition walked the covers")
+
+    monkeypatch.setattr(FinPoset, "covers", no_covers)
+    ends = {(m.source, m.target) for m in total.morphisms}
+    pairs = [(m1, m2) for m1 in total.morphisms for m2 in total.morphisms if m1.target == m2.source]
+    assert pairs
+    for m1, m2 in pairs:
+        m = total.compose(m1, m2)
+        assert (m.source, m.target) == (m1.source, m2.target) and m.arrow is None
+        assert (m.source, m.target) in ends
 
 
 def test_nondegenerate_chains_of_a_four_element_chain():
@@ -247,12 +250,12 @@ def test_hom_complex_reads_each_morphism_once_per_functor(monkeypatch):
     fib = three_value_circle().fibration
     f = random_standard_functor(fib, {"u": 1, "v": 1, "w": 1}, random.Random(3))
     g = random_standard_functor(fib, {"u": 1, "v": 2, "w": 1}, random.Random(4))
-    nonidentity = {m.key() for m in TotalCategory.of(fib).nonidentity()}
+    nonidentity = set(TotalCategory.of(fib).nonidentity())
     calls = []
     original = StokesFunctor.morphism_matrix
 
     def counted(self, tm):
-        calls.append((id(self), tm.key()))
+        calls.append((id(self), tm))
         return original(self, tm)
 
     monkeypatch.setattr(StokesFunctor, "morphism_matrix", counted)

@@ -592,3 +592,35 @@ def test_circle_and_cover_bytes_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == want_circle
         text = serial.dumps([serial.arc_to_json(a) for a in cover])
         assert hashlib.sha256(text.encode()).hexdigest() == want_cover
+    # the circle corpus of the benchmark, N = 3, 4, 5 plain and with a Laurent
+    # tail, written out here; (arc count, cover digest), or None for no cover
+    corpus = [
+        (N3_PLAIN,
+         "f2bc2fb97df9108492cacf63c37112a49f4f8410b61d763425d09a3e5c2fef2c",
+         (6, "07ceae34a5c29bd3eb406920eb29fa621f4c987bdb397ecb30edf60c864452d1")),
+        ({"v0": ZERO, "v1": IV.of((3, G(-1, -1)), (1, G(-2, 2))), "v2": IV.of((3, G(-3)), (2, G(1, 2)))},
+         "214e27477907d03892c7427c440337e996516c6967cc4ff05ae8d8610b5ed4e4",
+         (6, "07ceae34a5c29bd3eb406920eb29fa621f4c987bdb397ecb30edf60c864452d1")),
+        ({"v0": ZERO, "v1": IV.of((3, G(3, 3))), "v2": IV.of((3, G(2, 1))), "v3": IV.of((2, G(-2, -1)))},
+         "d5177f1ceb6e19f36019b21f86cc979fdf53863c37ecefabbf8c6d8ede111ffc",
+         (6, "282f825da0113bfb78a5b8fc1c5947fbfe5deabdfccd7c83705d262241a1f286")),
+        ({"v0": ZERO, "v1": IV.of((3, G(-1, 3)), (1, G(3, -3))), "v2": IV.of((1, G(-3, 1))),
+          "v3": IV.of((2, G(1, -3)), (1, G(1, -2)))},
+         "0033d477511e42682264a2bdce18956cc4257275e24935c6737aed8991b3711b", None),
+        ({"v0": ZERO, "v1": IV.of((2, G(-3, -2))), "v2": IV.of((1, G(3, 1))), "v3": IV.of((2, G(-1, -3))),
+          "v4": IV.of((1, G(1, 3)))},
+         "f99d295e9455e55721b17f9911ea9a4f33a653975f48a378f1b52e3a9d3af62c", None),
+        ({"v0": ZERO, "v1": IV.of((3, G(-2)), (1, G(1, -1))), "v2": IV.of((1, G(-2, -2))),
+          "v3": IV.of((3, G(-3, 2)), (2, G(-3, 1))), "v4": IV.of((2, G(3, -2)), (1, G(2, 3)))},
+         "1488d661e7b794a306af827b04fcafd2829cfcf115ecc66c7887a585d5fae115", None),
+    ]
+    for values, want_circle, want_cover in corpus:
+        cs = build_circle_space(ExponentialData(values))
+        text = serial.dumps(serial.circle_space_to_json(cs))
+        assert hashlib.sha256(text.encode()).hexdigest() == want_circle
+        cover = elementary_cover(cs)
+        if want_cover is None:
+            assert cover is None
+        else:
+            text = serial.dumps([serial.arc_to_json(a) for a in cover])
+            assert (len(cover), hashlib.sha256(text.encode()).hexdigest()) == want_cover

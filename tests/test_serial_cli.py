@@ -29,6 +29,33 @@ def test_functor_json_roundtrip_byte_identical(space):
     assert all(f2.arrows[k].entries == f.arrows[k].entries for k in f.arrows)
 
 
+def test_total_keys_that_cannot_be_read_back_are_refused():
+    """The key of (x, a) splits at its first comma, so a base object with a
+    comma collides: (x,y; a) and (x; y,a) both give "(x,y,a)".  The library
+    refuses to write such a key; element names may keep their commas."""
+    from stokeslib import FinPoset, StokesFibration, StokesFunctor, cover_arrow_id, make_poset_base
+
+    base = make_poset_base(FinPoset.antichain(["x,y", "x"]))
+    fib = StokesFibration(base, {"x,y": FinPoset.antichain(["a"]), "x": FinPoset.antichain(["y,a"])}, {})
+    f = StokesFunctor(fib, {("x,y", "a"): 1, ("x", "y,a"): 2}, {})
+    assert validate_functor(f) == (True, "ok")
+    with pytest.raises(ValueError):
+        serial.total_key("x,y", "a")
+    with pytest.raises(ValueError):
+        serial.functor_to_json(f)
+    fiber = FinPoset.chain(["y,a", "b,c"])
+    g = StokesFunctor(
+        StokesFibration(make_poset_base(FinPoset.antichain(["x"])), {"x": fiber}, {}),
+        {("x", "y,a"): 1, ("x", "b,c"): 2},
+        {cover_arrow_id("x", "y,a", "b,c"): Matrix.from_rows([[1], [0]])},
+    )
+    assert validate_functor(g) == (True, "ok")
+    text = serial.dumps(serial.functor_to_json(g))
+    g2 = serial.functor_from_json(json.loads(text))
+    assert g2.fibration == g.fibration and g2.spaces == g.spaces
+    assert serial.dumps(serial.functor_to_json(g2)) == text
+
+
 def test_fibration_json_roundtrip(space):
     doc = serial.fibration_to_json(space.fibration)
     fib2 = serial.fibration_from_json(json.loads(serial.dumps(doc)))
@@ -340,6 +367,34 @@ def test_cli_ext_stdout_is_the_dense_oracle_complex(tmp_path, space, capsys):
             }
         )
         assert capsys.readouterr().out == expected
+
+
+def test_cli_ext_stdout_is_pinned(tmp_path, space, capsys):
+    """SHA-256 of the ext stdout on a circle, a poset and a one-point-circle
+    base, recorded before total morphisms lost their generator paths."""
+    import hashlib
+
+    from stokeslib import ExponentialData, IrregularValue, StokesFunctor, build_circle_space, lift_arrow_id
+    from helpers import diamond_base_functor
+
+    one_point = build_circle_space(ExponentialData({"a": IrregularValue.zero()})).fibration
+    kronecker = StokesFunctor(
+        one_point,
+        {("p0", "a"): 1, ("s0", "a"): 1},
+        {lift_arrow_id("p0+", "a"): Matrix.from_rows([[1]]), lift_arrow_id("p0-", "a"): Matrix.from_rows([[2]])},
+    )
+    pinned = [
+        (rank_one_one_functor(space), "0ee779ba7b554690ea86fb57916034306304f29fd3b4b5c6e2340beed68e3b87"),
+        (nonsplit_witness(space), "119e439dfb8293f316f8e080cd6459bdf22475dbae3969597baaee300c34372d"),
+        (diamond_base_functor(), "af3d766aea9504b56798492f88f671a2a08539a46b3bef299484307f9ef869a5"),
+        (kronecker, "dbe31016ce1aa5a8d89291c655ee9d61bf5ee487f42bf12b421a1429c5f84666"),
+    ]
+    path = tmp_path / "in.json"
+    for f, want in pinned:
+        path.write_text(serial.dumps(serial.functor_to_json(f)))
+        capsys.readouterr()
+        assert run_cli(tmp_path, "ext", "--input", str(path)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 def test_cli_multi_input_output_names_do_not_depend_on_hash_seed(tmp_path, space):
