@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import serial
 from .directions import as_exact
-from .exactmath import rat_str
+from .exactmath import rat, rat_str
 from .fibrations import (
     cocartesian_sections,
     collapse_refinement,
@@ -284,14 +284,13 @@ def cmd_elementary(args) -> int:
 
 
 def _polyhedral_from_doc(doc) -> bool:
-    from .exactmath import rat
     from .geometry import AffineForm, build_polyhedral_space
 
     forms = [AffineForm.of([rat(str(c)) for c in f["coeffs"]], rat(str(f["const"]))) for f in doc["forms"]]
     pair_data = {}
     for key, v in doc["pairs"].items():
         a, _, b = key.partition("|")
-        pair_data[(a, b)] = (int(v["form"]), str(v["orient"]))
+        pair_data[(a, b)] = (serial.int_from_json(v["form"]), str(v["orient"]))
     space = build_polyhedral_space(forms, [str(s) for s in doc["strata"]], pair_data)
     return check_polyhedral_elementarity(space)
 

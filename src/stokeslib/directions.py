@@ -4,19 +4,17 @@ A direction is the angle theta(c, m, k) = (arg(c) - pi/2 + k*pi)/m reduced
 into [0, 2*pi), with c a nonzero Gaussian rational, m >= 1 and 0 <= k < 2m.
 These are the zeros of theta -> Re(c * exp(-i*m*theta)).
 
-Angles are never stored as floats.  When arg(c) is an exact multiple of
-pi/4 (c on an axis or a diagonal) the angle is handled as an exact
-rational multiple of pi; otherwise theta/pi is irrational (tan of a
-rational multiple of pi is rational only at 0 and +-1), so equality is
-decided algebraically through w = c1^m2 * conj(c2)^m1 and an integer
-congruence on (k1, k2), and strict order by adaptive-precision interval
-refinement, which terminates because unequal angles are separated.
-
-Interval enclosures are computed in private mpmath interval contexts, one
-per working precision, which are fixed when created and never written
-again; their endpoints are compared and floored exactly, never rounded
-through a float or an ``mpmath.mpf``.  No function here reads or writes
-mpmath's global precision (``mpmath.mp`` or ``mpmath.iv``).
+Angles are never stored as floats.  The reduction offset and the order of a
+pair's own 2m directions are read exactly off k and the quadrant of c, and
+the sign of Re(c * exp(-i*m*theta)) off the parity of k.  On an axis or a
+diagonal, theta is an exact rational multiple of pi; elsewhere theta/pi is
+irrational, and equality is decided through w = c1^m2 * conj(c2)^m1 and a
+congruence on (k1, k2).  Intervals decide only the strict order of two
+angles, that congruence's lattice index, and rational samples inside arcs,
+each through one refinement loop, which ends because unequal angles are
+separated.  The intervals live in private mpmath contexts, one per
+precision, and their endpoints are compared and floored exactly; nothing
+here reads or writes mpmath's global precision (``mpmath.mp``, ``mpmath.iv``).
 """
 
 from __future__ import annotations
@@ -122,20 +120,29 @@ def _unreduced_iv(d: StokesDirection, prec: int):
     return (_arg_iv(d.c, prec) - pi / 2 + d.k * pi) / d.m
 
 
-def _pin_int(value_iv_fn, rnd_lo: str = "c", prec: int = 64) -> int:
-    """The integer that an interval family pins down as it shrinks.
-
-    Each endpoint is rounded exactly: the lower one by ``rnd_lo`` ("c" for
-    the unique integer inside, "f" for the common floor), the upper one by
-    floor.
-    """
+def _refine(decide, what: str):
+    """The first answer other than None that ``decide(prec)`` gives at 64, 128,
+    ..., 2**14 bits; RuntimeError when none comes."""
+    prec = 64
     while prec <= _MAX_PREC:
-        lo, hi = value_iv_fn(prec)._mpi_
-        n = libmp.to_int(lo, rnd_lo)
-        if n == libmp.to_int(hi, "f"):
-            return n
+        answer = decide(prec)
+        if answer is not None:
+            return answer
         prec *= 2
-    raise RuntimeError("interval refinement failed to pin an integer")
+    raise RuntimeError(f"interval refinement failed to {what}")
+
+
+def _turns(d: StokesDirection) -> int:
+    """floor(theta/(2*pi)) of the unreduced angle: with a = arg(c)/pi in [0, 2)
+    and 0 <= k < 2m, theta/(2*pi) = (a - 1/2 + k)/(2m) lies in [-1/(4m), 1 + 1/(4m)),
+    so it is -1 when k = 0 and a < 1/2 (c.re > 0, c.im >= 0), 1 when k = 2m - 1
+    and a >= 3/2 (c.re >= 0, c.im < 0), and 0 otherwise."""
+    c = d.c
+    if d.k == 0 and c.re > 0 and c.im >= 0:
+        return -1
+    if d.k == 2 * d.m - 1 and c.re >= 0 and c.im < 0:
+        return 1
+    return 0
 
 
 def angle_iv(angle: Angle, prec: int):
@@ -144,8 +151,7 @@ def angle_iv(angle: Angle, prec: int):
     exact = as_exact(angle)
     if exact is not None:
         return _frac_iv(exact.t, prec) * pi
-    # theta/(2*pi) is irrational here, so the reduction offset gets pinned.
-    n = _pin_int(lambda p: _unreduced_iv(angle, p) / (2 * _iv(p).pi), "f")
+    n = _turns(angle)
     return _unreduced_iv(angle, prec) - 2 * n * pi
 
 
@@ -165,12 +171,13 @@ def _equal_directions(d1: StokesDirection, d2: StokesDirection) -> bool:
     else:
         rho = 1 if w.im > 0 else 3
 
-    def s_iv(prec):
+    def pin_s(prec):
         e = d2.m * _arg_iv(d1.c, prec) - d1.m * _arg_iv(d2.c, prec)
-        return (2 * e / _iv(prec).pi - rho) / 4
+        lo, hi = ((2 * e / _iv(prec).pi - rho) / 4)._mpi_
+        s = libmp.to_int(lo, "c")
+        return s if s == libmp.to_int(hi, "f") else None
 
-    s = _pin_int(s_iv)
-    q = rho + 4 * s
+    q = rho + 4 * _refine(pin_s, "pin an integer")
     mod = 4 * d1.m * d2.m
     target = (d2.m - d1.m) + 2 * (d2.k * d1.m - d1.k * d2.m)
     return (q - target) % mod == 0
@@ -183,25 +190,21 @@ def compare_angles(a1: Angle, a2: Angle) -> int:
         return (e1.t > e2.t) - (e1.t < e2.t)
     if e1 is None and e2 is None and _equal_directions(a1, a2):
         return 0
-    # A rational and an irrational multiple of pi are never equal, and two
-    # inequivalent directions are separated; refine until disjoint.  x1 < x2
-    # is True only when all of x1 lies below x2 (None while they overlap).
-    prec = 64
-    while prec <= _MAX_PREC:
-        x1 = angle_iv(a1, prec)
-        x2 = angle_iv(a2, prec)
+    # The angles differ here (a rational and an irrational multiple of pi never
+    # coincide), so refine until disjoint: x1 < x2 is True only when all of x1
+    # lies below x2, and None while they overlap.
+    def separate(prec):
+        x1, x2 = angle_iv(a1, prec), angle_iv(a2, prec)
         if x1 < x2:
             return -1
-        if x2 < x1:
-            return 1
-        prec *= 2
-    raise RuntimeError("interval refinement failed to separate angles")
+        return 1 if x2 < x1 else None
+
+    return _refine(separate, "separate angles")
 
 
 def compare_directions(d1: StokesDirection, d2: StokesDirection) -> str:
     """'LT', 'EQ' or 'GT' by the represented angles in [0, 2*pi)."""
-    c = compare_angles(d1, d2)
-    return "EQ" if c == 0 else ("LT" if c < 0 else "GT")
+    return ("LT", "EQ", "GT")[compare_angles(d1, d2) + 1]
 
 
 def angles_equal(a1: Angle, a2: Angle) -> bool:
@@ -234,39 +237,32 @@ def sort_angles(angles: list) -> list:
     return out
 
 
-def pair_sign_at(c: GaussianRational, m: int, angle: Angle) -> int:
-    """Exact sign of Re(c * exp(-i*m*theta)): -1, 0 or +1.
+def sorted_directions(c: GaussianRational, m: int) -> list[StokesDirection]:
+    """The 2m directions theta(c, m, k) in circle order, with no comparison: the
+    unreduced angles rise by pi/m with each k, and reducing subtracts 2*pi*_turns."""
+    if m < 1:
+        raise ValueError("order m must be positive")
+    return sorted((StokesDirection(c, m, k) for k in range(2 * m)), key=lambda d: d.k - 2 * m * _turns(d))
 
-    Zero exactly at the directions theta(c, m, k).
-    """
+
+def pair_sign_at(c: GaussianRational, m: int, angle: Angle) -> int:
+    """Exact sign of Re(c * exp(-i*m*theta)): 0 at the directions theta(c, m, k),
+    else (-1)^k for the last one before theta, as just past it the sign is
+    that of sin(k*pi + m*eps)."""
     if c.is_zero():
         raise ValueError("sign of a zero coefficient is undefined")
-    for k in range(2 * m):
-        if angles_equal(angle, StokesDirection(c, m, k)):
-            return 0
-    prec = 64
-    while prec <= _MAX_PREC:
-        ctx = _iv(prec)
-        th = angle_iv(angle, prec)
-        val = _frac_iv(c.re, prec) * ctx.cos(m * th) + _frac_iv(c.im, prec) * ctx.sin(m * th)
-        if val > 0:
-            return 1
-        if val < 0:
-            return -1
-        prec *= 2
-    raise RuntimeError("interval refinement failed to determine a sign")
+    dirs = sorted_directions(c, m)
+    i, on_direction = locate_angle(angle, dirs)
+    return 0 if on_direction else (-1) ** dirs[i - 1].k
 
 
 def cyclically_between(a: Angle, x: Angle, b: Angle) -> bool:
     """True when x lies strictly inside the ccw open arc from a to b."""
     ca_b = compare_angles(a, b)
-    ca_x = compare_angles(a, x)
-    cx_b = compare_angles(x, b)
-    if ca_b < 0:
-        return ca_x < 0 and cx_b < 0
-    if ca_b > 0:
-        return ca_x < 0 or cx_b < 0
-    return False
+    if ca_b == 0:
+        return False
+    inside = (compare_angles(a, x) < 0, compare_angles(x, b) < 0)
+    return all(inside) if ca_b < 0 else any(inside)
 
 
 def _t_endpoints(angle: Angle, prec: int) -> tuple[Fraction, Fraction]:
@@ -278,22 +274,18 @@ def _t_endpoints(angle: Angle, prec: int) -> tuple[Fraction, Fraction]:
 
 
 def rational_angle_between(a: Angle, b: Angle) -> ExactAngle:
-    """Some exact rational-multiple-of-pi angle strictly inside ccw (a, b).
-
-    Candidates come from rounded interval endpoints, which get finer as the
-    precision doubles, and are verified exactly, so the returned angle is
-    certified.
-    """
+    """Some exact rational-multiple-of-pi angle strictly inside ccw (a, b),
+    certified: candidates come from rounded interval endpoints, which get
+    finer as the precision doubles, and are verified exactly."""
     if compare_angles(a, b) == 0:
         raise ValueError("empty open arc")
-    prec = 64
-    while prec <= _MAX_PREC:
-        hi_a = _t_endpoints(a, prec)[1]
-        lo_b = _t_endpoints(b, prec)[0]
-        candidates = [(hi_a + lo_b) / 2, (hi_a + 2) / 2, lo_b / 2]
-        for t in candidates:
+
+    def sample(prec):
+        hi_a, lo_b = _t_endpoints(a, prec)[1], _t_endpoints(b, prec)[0]
+        for t in ((hi_a + lo_b) / 2, (hi_a + 2) / 2, lo_b / 2):
             cand = ExactAngle(t % 2)
             if cyclically_between(a, cand, b):
                 return cand
-        prec *= 2
-    raise RuntimeError("failed to find a rational angle inside the arc")
+        return None
+
+    return _refine(sample, "find a rational angle inside the arc")

@@ -109,15 +109,16 @@ def generating_arrow_shapes(fib: StokesFibration) -> dict:
 
 
 def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
-    """Shapes plus every path-independence relation as exact matrix identities."""
+    """Shapes, no key that names nothing, and every path-independence relation
+    as exact matrix identities."""
     ok, why = validate_fibration(f.fibration)
     if not ok:
         return False, f"fibration: {why}"
     fib = f.fibration
-    for x in fib.base.objects:
-        for a in fib.fiber(x).elements:
-            if (x, a) not in f.spaces or f.spaces[(x, a)] < 0:
-                return False, f"missing or negative dimension at ({x},{a})"
+    objects = [(x, a) for x in fib.base.objects for a in fib.fiber(x).elements]
+    for x, a in objects:
+        if (x, a) not in f.spaces or f.spaces[(x, a)] < 0:
+            return False, f"missing or negative dimension at ({x},{a})"
     try:
         shapes = generating_arrow_shapes(fib)
     except ValueError as exc:
@@ -128,6 +129,10 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
             return False, f"missing matrix for arrow {arrow_id}"
         if (m.rows, m.cols) != (f.spaces[tgt], f.spaces[src]):
             return False, f"shape mismatch on arrow {arrow_id}"
+    unknown = [f"total object ({x},{a})" for x, a in sorted(f.spaces.keys() - set(objects))]
+    unknown += [f"arrow {arrow_id}" for arrow_id in sorted(f.arrows.keys() - shapes.keys())]
+    if unknown:
+        return False, f"unknown {unknown[0]}"
     # fiber functoriality: all cover paths between comparable pairs agree
     for x in fib.base.objects:
         bad = fib.fiber(x).first_path_conflict(

@@ -25,7 +25,7 @@ from .directions import (
     locate_angle,
     pair_sign_at,
     rational_angle_between,
-    sort_angles,
+    sorted_directions,
 )
 from .exactmath import GaussianRational, rat
 from .fibrations import (
@@ -140,9 +140,7 @@ def stokes_directions(a: IrregularValue, b: IrregularValue) -> list[StokesDirect
     q, c = lead
     if q.denominator != 1:
         raise ValueError("ramified pair; pass through a Kummer cover first")
-    m = int(q)
-    dirs = [StokesDirection(c, m, k) for k in range(2 * m)]
-    return sort_angles(dirs)
+    return sorted_directions(c, int(q))
 
 
 def kummer_pullback(e: ExponentialData, d: int) -> ExponentialData:
@@ -165,12 +163,11 @@ class CircleSpace:
     counterclockwise to points[i+1]); ``provenance[i]`` lists the pairs
     whose Stokes directions produced points[i].
 
-    The strata orders come from the sorted directions, and no sign is
-    evaluated: for the leading term (m, c) of a - b, Re(c * exp(-i*m*theta))
-    has simple zeros and is positive just counterclockwise of theta(c, m, k)
-    with k even.  So on s{i}, b < a when the pair's last direction at or
-    before points[i] has k even and a < b when k is odd; on p{i} the pairs
-    of ``provenance[i]`` are incomparable and the others keep their order.
+    The strata orders come from the sorted directions by the parity rule of
+    ``pair_sign_at``, and no sign is evaluated: on s{i}, b < a when the
+    pair's last direction at or before points[i] has k even and a < b when
+    k is odd; on p{i} the pairs of ``provenance[i]`` are incomparable and
+    the others keep their order.
     """
 
     data: ExponentialData
@@ -326,9 +323,7 @@ class Arc:
                 raise ValueError("degenerate arc")
 
     def contains_strictly(self, x: Angle) -> bool:
-        if self.full:
-            return True
-        return cyclically_between(self.start, x, self.end)
+        return self.full or cyclically_between(self.start, x, self.end)
 
 
 def _before(x: Angle, i: int, y: Angle, j: int) -> bool:

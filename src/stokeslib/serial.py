@@ -26,6 +26,13 @@ def dumps(obj) -> str:
 # -- primitives --------------------------------------------------------------
 
 
+def int_from_json(v) -> int:
+    """A size or index: a JSON integer, not a float, bool or string."""
+    if type(v) is not int:
+        raise ValueError(f"expected a JSON integer, got {v!r}")
+    return v
+
+
 def gaussian_to_json(c: GaussianRational) -> dict:
     return {"re": rat_str(c.re), "im": rat_str(c.im)}
 
@@ -40,7 +47,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(d) -> Matrix:
     ent = tuple(rat(str(x)) for x in d["entries"])
-    return Matrix(int(d["rows"]), int(d["cols"]), ent)
+    return Matrix(int_from_json(d["rows"]), int_from_json(d["cols"]), ent)
 
 
 def direction_to_json(d: StokesDirection) -> dict:
@@ -48,7 +55,7 @@ def direction_to_json(d: StokesDirection) -> dict:
 
 
 def direction_from_json(d) -> StokesDirection:
-    return StokesDirection(gaussian_from_json(d["c"]), int(d["m"]), int(d["k"]))
+    return StokesDirection(gaussian_from_json(d["c"]), int_from_json(d["m"]), int_from_json(d["k"]))
 
 
 def angle_to_json(a) -> dict:
@@ -99,7 +106,7 @@ def base_to_json(b: BaseCategory) -> dict:
 
 def base_from_json(d) -> BaseCategory:
     if d["kind"] == "circle":
-        return make_circle_base(int(d["n"]))
+        return make_circle_base(int_from_json(d["n"]))
     return make_poset_base(poset_from_json(d["poset"]))
 
 
@@ -151,7 +158,9 @@ def total_key(x: str, a: str) -> str:
 
 
 def parse_total_key(s: str) -> tuple[str, str]:
-    x, _, a = s[1:-1].partition(",")
+    x, comma, a = s[1:-1].partition(",")
+    if not (s.startswith("(") and s.endswith(")") and comma):
+        raise ValueError(f"total key {s!r} is not of the form (x,a)")
     return x, a
 
 
@@ -165,7 +174,7 @@ def functor_to_json(f: StokesFunctor) -> dict:
 
 def functor_from_json(d) -> StokesFunctor:
     fib = fibration_from_json(d["fibration"])
-    spaces = {parse_total_key(k): int(v) for k, v in d["spaces"].items()}
+    spaces = {parse_total_key(k): int_from_json(v) for k, v in d["spaces"].items()}
     arrows = {str(k): matrix_from_json(v) for k, v in d["arrows"].items()}
     return StokesFunctor(fib, spaces, arrows)
 

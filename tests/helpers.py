@@ -11,6 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import mpmath
+
 from stokeslib import (
     CocartesianSection,
     FinPoset,
@@ -1022,6 +1024,35 @@ def oracle_level_alpha(p, f: StokesFunctor, g: StokesFunctor, h: StokesFunctor) 
             ]
             alpha[(x, c)] = hstack_all(cols, pi_h.functor.dim(x, c)) @ inverse(map1)
     return alpha
+
+
+# ---------------------------------------------------------------------------
+# 4096-bit oracles for directions and signs: plain mpmath evaluation at the
+# caller's working precision, none of the library's exact reads
+
+
+def oracle_theta(c, m: int, k: int):
+    """theta(c, m, k) in [0, 2*pi) at the caller's mpmath working precision;
+    a value within 2^-4000 of 2*pi is a rounded 0."""
+    arg = mpmath.atan2(mpmath.mpf(c.im.numerator) / c.im.denominator, mpmath.mpf(c.re.numerator) / c.re.denominator)
+    theta = ((arg % (2 * mpmath.pi) - mpmath.pi / 2 + k * mpmath.pi) / m) % (2 * mpmath.pi)
+    return 0 if 2 * mpmath.pi - theta < mpmath.mpf(2) ** -4000 else theta
+
+
+def oracle_pair_sign(c, m: int, angle) -> int:
+    """Sign of Re(c * exp(-i*m*theta)) = re*cos(m*theta) + im*sin(m*theta),
+    evaluated at 4096 bits; a value within 2^-4000 of 0 is a zero."""
+    with mpmath.workprec(4096):
+        if hasattr(angle, "t"):
+            theta = mpmath.mpf(angle.t.numerator) / angle.t.denominator * mpmath.pi
+        else:
+            theta = oracle_theta(angle.c, angle.m, angle.k)
+        re = mpmath.mpf(c.re.numerator) / c.re.denominator
+        im = mpmath.mpf(c.im.numerator) / c.im.denominator
+        val = re * mpmath.cos(m * theta) + im * mpmath.sin(m * theta)
+        if abs(val) < mpmath.mpf(2) ** -4000:
+            return 0
+        return 1 if val > 0 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ from stokeslib import (
     rational_angle_between,
     sort_angles,
 )
-from stokeslib.directions import as_exact, locate_angle
+from stokeslib import directions
+from stokeslib.directions import angle_iv, as_exact, locate_angle, sorted_directions
+
+from helpers import oracle_pair_sign, oracle_theta
 
 G = GaussianRational.of
 ONE = G(1)
@@ -196,14 +199,6 @@ def test_locate_angle_is_the_insertion_point():
     assert locate_angle(ExactAngle(Fraction(1)), []) == (0, False)
 
 
-def _oracle_theta(c: GaussianRational, m: int, k: int):
-    """theta(c, m, k) in [0, 2*pi) at the caller's mpmath working precision;
-    a value within 2^-4000 of 2*pi is a rounded 0."""
-    arg = mpmath.atan2(mpmath.mpf(c.im.numerator) / c.im.denominator, mpmath.mpf(c.re.numerator) / c.re.denominator)
-    theta = ((arg % (2 * mpmath.pi) - mpmath.pi / 2 + k * mpmath.pi) / m) % (2 * mpmath.pi)
-    return 0 if 2 * mpmath.pi - theta < mpmath.mpf(2) ** -4000 else theta
-
-
 def _oracle_compare(x, y) -> int:
     if abs(x - y) < mpmath.mpf(2) ** -4000:
         return 0
@@ -225,14 +220,14 @@ def test_compare_angles_matches_a_4096_bit_oracle_near_coincidence(c1, m1, k1, m
     rescaled copy of d1); every verdict must match 4096-bit evaluation."""
     d1 = StokesDirection(c1, m1, k1 % (2 * m1))
     with mpmath.workprec(4096):
-        t1 = _oracle_theta(d1.c, d1.m, d1.k)
+        t1 = oracle_theta(d1.c, d1.m, d1.k)
         if bits == 0:
             c2, m2 = c1 * G(scale), m1
         else:
             arg = m2 * t1 + mpmath.pi / 2
             unit = mpmath.mpf(2) ** bits
             c2 = G(*(Fraction(int(mpmath.nint(scale * f(arg) * unit)), int(unit)) for f in (mpmath.cos, mpmath.sin)))
-        want = [_oracle_compare(t1, _oracle_theta(c2, m2, k)) for k in range(2 * m2)]
+        want = [_oracle_compare(t1, oracle_theta(c2, m2, k)) for k in range(2 * m2)]
     got = [compare_angles(d1, StokesDirection(c2, m2, k)) for k in range(2 * m2)]
     assert got == want
     assert 0 in want or bits > 0
@@ -253,7 +248,9 @@ def test_sign_just_past_a_direction_is_the_parity_of_k(c, m):
     build_circle_space reads every order from."""
     for k in range(2 * m):
         d = StokesDirection(c, m, k)
-        assert pair_sign_at(c, m, rational_angle_between(d, d.shifted(1))) == (-1) ** k
+        past = rational_angle_between(d, d.shifted(1))
+        assert oracle_pair_sign(c, m, past) == (-1) ** k
+        assert pair_sign_at(c, m, past) == (-1) ** k
 
 
 def test_global_mpmath_precision_is_never_touched():
@@ -265,7 +262,6 @@ def test_global_mpmath_precision_is_never_touched():
         order_at, pole_level_structure, restrict_functor_to_arc, restrict_to_arc, serial, stokes_directions,
         AffineForm, angles_equal,
     )
-    from stokeslib.directions import angle_iv
     from stokeslib.fixtures import rank_one_one_functor, two_value_exponential
 
     def run():
@@ -297,3 +293,67 @@ def test_global_mpmath_precision_is_never_touched():
     finally:
         mpmath.mp.prec, mpmath.iv.prec = saved
     assert got == want
+
+
+# c in each open quadrant (both octants), on both axes and on both diagonals
+_SHAPES = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1),
+           (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)]
+_shaped = st.builds(lambda s, scale: G(s[0] * scale, s[1] * scale),
+                    st.sampled_from(_SHAPES), st.sampled_from([1, 3, Fraction(2, 5)]))
+
+
+@settings(max_examples=60)
+@given(c=_shaped, m=st.integers(1, 3), other=_shaped, m2=st.integers(1, 3), j=st.integers(0, 95))
+def test_pair_sign_at_matches_a_4096_bit_oracle(c, m, other, m2, j):
+    """At an exact angle, at each of the pair's own directions and at each of
+    another pair's, the parity rule agrees with evaluating the sign."""
+    angles = [ExactAngle(Fraction(j, 48))]
+    angles += [StokesDirection(c, m, k) for k in range(2 * m)]
+    angles += [StokesDirection(other, m2, k) for k in range(2 * m2)]
+    for a in angles:
+        assert pair_sign_at(c, m, a) == oracle_pair_sign(c, m, a)
+
+
+def test_pair_sign_rejects_a_zero_coefficient_and_a_nonpositive_order():
+    with pytest.raises(ValueError):
+        pair_sign_at(G(0), 1, ExactAngle(Fraction(0)))
+    with pytest.raises(ValueError):
+        pair_sign_at(ONE, 0, ExactAngle(Fraction(0)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_angle_iv_encloses_the_reduced_angle_across_the_wrap(m):
+    """k = 0 and k = 2m - 1 are the residues whose reduction offset is not 0."""
+    for re, im in _SHAPES[:8]:
+        c = G(re, im)
+        for k in {0, 1, 2 * m - 1}:
+            lo, hi = angle_iv(StokesDirection(c, m, k), 64)._mpi_
+            with mpmath.workprec(4096):
+                assert mpmath.mp.make_mpf(lo) <= oracle_theta(c, m, k) <= mpmath.mp.make_mpf(hi)
+
+
+def test_sorted_directions_follow_the_oracle_order():
+    for re in range(-2, 3):
+        for im in range(-2, 3):
+            if re == im == 0:
+                continue
+            c = G(re, im)
+            for m in (1, 2, 3):
+                with mpmath.workprec(4096):
+                    want = sorted(range(2 * m), key=lambda k: oracle_theta(c, m, k))
+                assert [d.k for d in sorted_directions(c, m)] == want
+
+
+def test_angle_iv_reads_the_argument_once(monkeypatch):
+    calls = []
+    arg_iv = directions._arg_iv
+    monkeypatch.setattr(directions, "_arg_iv", lambda c, prec: calls.append(prec) or arg_iv(c, prec))
+    angle_iv(StokesDirection(G(2, -1), 3, 5), 64)
+    assert calls == [64]
+
+
+def test_refinement_gives_up_after_the_last_precision():
+    tried = []
+    with pytest.raises(RuntimeError, match="interval refinement failed to decide"):
+        directions._refine(tried.append, "decide")
+    assert tried == [64 << i for i in range(9)]

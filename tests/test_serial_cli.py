@@ -740,3 +740,67 @@ def test_cli_sections_on_a_long_circle(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(tmp_path, "sections", "--input", str(path)) == 0
     assert json.loads(capsys.readouterr().out)["sections"] == [dict.fromkeys(base.objects, "a")]
+
+
+def test_cli_refuses_sizes_that_are_not_json_integers(tmp_path, space):
+    """A dimension, matrix shape, circle-base n, direction m or k, or polyhedral
+    form index that is a float, a bool or a string is bad input (exit 2): int()
+    would read 1.5 and true as 1."""
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    first_arrow = next(iter(good["arrows"]))
+    docs = []
+    for bad in (1.5, True, "1"):
+        docs.append(("is-stokes", {**good, "spaces": {**good["spaces"], "(p0,a)": bad}}))
+        docs.append(("validate", {**good, "spaces": {**good["spaces"], "(p0,a)": bad}}))
+        docs.append(("is-stokes", {**good, "arrows": {**good["arrows"], first_arrow: {**good["arrows"][first_arrow], "rows": bad}}}))
+        docs.append(("split", {**good, "arrows": {**good["arrows"], first_arrow: {**good["arrows"][first_arrow], "cols": bad}}}))
+    fibration = good["fibration"]
+    docs.append(("is-stokes", {**good, "fibration": {**fibration, "base": {"kind": "circle", "n": 2.0}}}))
+    docs.append(("sections", {**fibration, "base": {"kind": "circle", "n": True}}))
+    end = {"kind": "exact", "t": "3/4"}
+    for field, bad in (("m", 1.0), ("k", False), ("m", "1")):
+        start = {"kind": "direction", "c": {"re": "1", "im": "0"}, "m": 1, "k": 0, field: bad}
+        docs.append(("elementary", {"space": serial.circle_space_to_json(space), "arc": {"start": start, "end": end}}))
+    poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"]}
+    for bad in (0.0, False, "0"):
+        docs.append(("elementary", {**poly, "pairs": {"a|b": {"form": bad, "orient": "+"}}}))
+    p = tmp_path / "bad.json"
+    for command, doc in docs:
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
+    # the same documents with JSON integers are read
+    p.write_text(json.dumps({**poly, "pairs": {"a|b": {"form": 0, "orient": "+"}}}))
+    assert run_cli(tmp_path, "elementary", "--input", str(p)) == 0
+    p.write_text(json.dumps(good))
+    assert run_cli(tmp_path, "is-stokes", "--input", str(p)) == 0
+
+
+def test_total_keys_must_be_a_parenthesized_pair():
+    assert serial.parse_total_key("(x,a)") == ("x", "a")
+    assert serial.parse_total_key("(x,y,a)") == ("x", "y,a")
+    for key in ("garbage", "(xa)", "(x,a", "x,a)", ""):
+        with pytest.raises(ValueError):
+            serial.parse_total_key(key)
+
+
+def test_cli_refuses_keys_that_name_nothing(tmp_path, space, capsys):
+    """An extra space key or arrow id is an invalid functor: validate exits 1
+    and names it, the verdict commands exit 2; a key that is not "(x,a)"
+    cannot be read, and every command exits 2."""
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    arrow = next(iter(good["arrows"].values()))
+    p = tmp_path / "f.json"
+    for doc, named in (
+        ({**good, "spaces": {**good["spaces"], "(nowhere,a)": 1}}, "(nowhere,a)"),
+        ({**good, "spaces": {**good["spaces"], "(p0,zz)": 0}}, "(p0,zz)"),
+        ({**good, "arrows": {**good["arrows"], "zzz": arrow}}, "zzz"),
+    ):
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(tmp_path, "validate", "--input", str(p)) == 1
+        assert named in json.loads(capsys.readouterr().out)["diagnostics"]
+        for cmd in ("is-stokes", "split", "ext", "tangent-dims"):
+            assert run_cli(tmp_path, cmd, "--input", str(p)) == 2, (cmd, named)
+    p.write_text(json.dumps({**good, "spaces": {**good["spaces"], "garbage": 1}}))
+    for cmd in ("validate", "is-stokes", "split"):
+        assert run_cli(tmp_path, cmd, "--input", str(p)) == 2, cmd
