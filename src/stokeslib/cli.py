@@ -286,12 +286,15 @@ def cmd_elementary(args) -> int:
 def _polyhedral_from_doc(doc) -> bool:
     from .geometry import AffineForm, build_polyhedral_space
 
-    forms = [AffineForm.of([rat(str(c)) for c in f["coeffs"]], rat(str(f["const"]))) for f in doc["forms"]]
+    forms = [
+        AffineForm.of([rat(str(c)) for c in serial.list_from_json(f["coeffs"])], rat(str(f["const"])))
+        for f in serial.list_from_json(doc["forms"])
+    ]
     pair_data = {}
     for key, v in doc["pairs"].items():
         a, _, b = key.partition("|")
         pair_data[(a, b)] = (serial.int_from_json(v["form"]), str(v["orient"]))
-    space = build_polyhedral_space(forms, [str(s) for s in doc["strata"]], pair_data)
+    space = build_polyhedral_space(forms, [str(s) for s in serial.list_from_json(doc["strata"])], pair_data)
     return check_polyhedral_elementarity(space)
 
 

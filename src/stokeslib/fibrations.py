@@ -358,55 +358,29 @@ def collapse_refinement(i: StokesFibration) -> tuple[StokesFibration, dict, bool
     Returns (collapsed fibration, old-object -> new-object map, fully_constant).
     When every transition is an isomorphism the input is returned unchanged
     with the fully-constant flag set.
+
+    The kept points are those with a transition that is not an isomorphism.
+    Kept point j becomes p{t}, and its run of arcs s{j}, ..., up to the next
+    kept point, becomes s{t} with the fiber of the run's last arc; p{t}+
+    crosses each removed point k of the run by p{k}+ o (p{k}-)^-1.
     """
     if i.base.kind != "circle":
         raise ValueError("refinement collapse applies to circle bases")
     n = i.base.n
-    removable = []
-    for j in range(n):
-        ccw = i.transition(f"p{j}+")
-        cw = i.transition(f"p{j}-")
-        removable.append(ccw.is_poset_isomorphism() and cw.is_poset_isomorphism())
-    if all(removable):
+    kept = [j for j in range(n) if not all(i.transition(f"p{j}{side}").is_poset_isomorphism() for side in "+-")]
+    if not kept:
         return i, {x: x for x in i.base.objects}, True
-    survivors = [j for j in range(n) if not removable[j]]
-    m = len(survivors)
-    new_base = make_circle_base(m)
-    fibers = {}
-    transitions = {}
-    correspondence = {}
-    for t, j in enumerate(survivors):
-        fibers[f"p{t}"] = i.fiber(f"p{j}")
-        correspondence[f"p{j}"] = f"p{t}"
-    runs = []
-    for t, j in enumerate(survivors):
-        j_next = survivors[(t + 1) % m]
-        # arcs s_j .. s_{j_next-1}; removed points are the interior ones
-        run_arcs = []
-        k = j
-        while True:
-            run_arcs.append(k % n)
-            k += 1
-            if k % n == j_next:
-                break
-        runs.append((t, j, j_next, run_arcs))
-        fibers[f"s{t}"] = i.fiber(f"s{(j_next - 1) % n}")
-        for a_idx in run_arcs:
-            correspondence[f"s{a_idx}"] = f"s{t}"
-        for p_idx in run_arcs[1:]:
-            correspondence[f"p{p_idx}"] = f"s{t}"
-    for t, j, j_next, run_arcs in runs:
-        # ccw transition from the new point p_t: walk the run of isomorphisms
+    fibers, transitions = {}, {}
+    correspondence = {f"p{j}": f"p{t}" for t, j in enumerate(kept)}
+    for t, j in enumerate(kept):
+        run = [(j + r) % n for r in range((kept[(t + 1) % len(kept)] - j - 1) % n + 1)]
+        fibers[f"p{t}"], fibers[f"s{t}"] = i.fiber(f"p{j}"), i.fiber(f"s{run[-1]}")
+        correspondence.update({f"s{k}": f"s{t}" for k in run})
+        correspondence.update({f"p{k}": f"s{t}" for k in run[1:]})
         walk = i.transition(f"p{j}+")
-        k = (j + 1) % n
-        while k != j_next:
-            hop = i.transition(f"p{k}+").compose_after(i.transition(f"p{k}-").inverse())
-            walk = hop.compose_after(walk)
-            k = (k + 1) % n
+        for k in run[1:]:
+            walk = i.transition(f"p{k}+").compose_after(i.transition(f"p{k}-").inverse()).compose_after(walk)
         transitions[f"p{t}+"] = MonotoneMap(fibers[f"p{t}"], fibers[f"s{t}"], walk.assignment)
-        # cw transition into the arc preceding the new point
-        prev_t = (t - 1) % m
-        cw = i.transition(f"p{j}-")
-        transitions[f"p{t}-"] = MonotoneMap(fibers[f"p{t}"], fibers[f"s{prev_t}"], cw.assignment)
-    out = StokesFibration(new_base, fibers, transitions)
-    return out, correspondence, False
+        cw = i.transition(f"p{j}-").assignment
+        transitions[f"p{t}-"] = MonotoneMap(fibers[f"p{t}"], i.fiber(f"s{(j - 1) % n}"), cw)
+    return StokesFibration(make_circle_base(len(kept)), fibers, transitions), correspondence, False

@@ -528,6 +528,10 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
         raise ValueError("h does not live on the graded fibration of the morphism")
     split_h = _standardize(h)
     src = p.source
+    objects = {(x, c) for x in p.target.base.objects for c in p.target.fiber(x).elements}
+    odd = sorted(objects.symmetric_difference(alpha))
+    if odd:
+        raise ValueError(f"alpha {'has no entry at' if odd[0] in objects else 'names no total object'} {odd[0]}")
     for key, m in alpha.items():
         if not is_invertible(m):
             raise ValueError(f"alpha at {key} is not invertible")

@@ -231,75 +231,50 @@ def build_circle_space(e: ExponentialData) -> CircleSpace:
 # pole-order level structure
 
 
-def _pole_classes(e: ExponentialData, threshold: int) -> dict:
-    """Partition names: same class when the difference has order <= threshold."""
-    names = e.names
-    cls = {name: {name} for name in names}
-    for a, b in e.pairs():
-        lead = leading_data(e.values[a], e.values[b])
-        if lead is not None and lead[0] <= threshold:
-            merged = cls[a] | cls[b]
-            for n in merged:
-                cls[n] = merged
-    out = {}
-    for name in names:
-        out[name] = "+".join(sorted(cls[name]))
-    return out
-
-
 def pole_level_structure(s: CircleSpace) -> LevelStructure:
     """The chain of quotient fibrations from truncating pole orders.
 
-    With r the maximal pairwise leading order, stage k (from r down to 1)
-    identifies values whose difference has order <= r - k; every stage is
-    a level graduation morphism over the circle base, with the unique
+    With r the maximal pairwise leading order, stage t = 1, ..., r
+    identifies values whose difference has order <= t; every stage is a
+    level graduation morphism over the circle base, with the unique
     quotient order making the fiber maps level morphisms.  A class is named
     by joining its members with '+', so no value name may contain '+'.
+
+    The order of a difference is an ultrametric, ord(a - c) <=
+    max(ord(a - b), ord(b - c)), so the class of a at stage t is the ball
+    {b : b = a or ord(a - b) <= t}.  For a, a' in one class and b in
+    another, ord(a - a') <= t < ord(a - b), so a' - b has the leading term
+    of a - b: every member pair of two classes is ordered alike, and one
+    representative per class reads the quotient order off the fine fiber.
     """
     e = s.data
-    bad = next((n for n in e.names if "+" in n), None)
+    names = e.names
+    bad = next((n for n in names if "+" in n), None)
     if bad is not None:
         raise ValueError(f"value name {bad!r} contains '+', which joins the names of a level class")
-    orders = [leading_data(e.values[a], e.values[b])[0] for a, b in e.pairs()]
-    r = int(max(orders)) if orders else 1
-
-    def quotient_fibration(threshold: int) -> tuple[StokesFibration, dict]:
-        classes = _pole_classes(e, threshold)
-        class_names = sorted(set(classes.values()))
-        members = {cn: [n for n in e.names if classes[n] == cn] for cn in class_names}
+    order = {(a, b): leading_data(e.values[a], e.values[b])[0] for a in names for b in names if a != b}
+    r = int(max(order.values())) if order else 1
+    base = s.fibration.base
+    stages = []
+    prev, prev_fib = {n: n for n in names}, s.fibration
+    for t in range(1, r + 1):
+        cls = {a: "+".join(b for b in names if b == a or order[a, b] <= t) for a in names}
+        rep = {c: a for a, c in cls.items()}
+        class_names = sorted(rep)
         fibers = {}
-        for obj in s.fibration.base.objects:
+        for obj in base.objects:
             # the fine fiber holds the pairwise orders at this stratum, and
             # the strict order is transitive, so the closure adds no pair
             fine = s.fibration.fiber(obj)
-            rel = []
-            for i, ca in enumerate(class_names):
-                for cb in class_names[i + 1 :]:
-                    if any(fine.lt(a, b) for a in members[ca] for b in members[cb]):
-                        rel.append((ca, cb))
-                    if any(fine.lt(b, a) for a in members[ca] for b in members[cb]):
-                        rel.append((cb, ca))
+            rel = [(c, d) for c in class_names for d in class_names if fine.lt(rep[c], rep[d])]
             fibers[obj] = FinPoset.from_relation(class_names, rel)
-        transitions = {}
-        for arr in s.fibration.base.arrows:
-            ident = {cn: cn for cn in class_names}
-            transitions[arr.name] = MonotoneMap(fibers[arr.source], fibers[arr.target], ident)
-        return StokesFibration(s.fibration.base, fibers, transitions), classes
-
-    stages = []
-    prev_fib = s.fibration
-    for k in range(r - 1, -1, -1):
-        threshold = r - k
-        fib_k, classes_k = quotient_fibration(threshold)
-        maps = {}
-        for obj in s.fibration.base.objects:
-            assignment = {}
-            for elem in prev_fib.fiber(obj).elements:
-                member = elem.split("+")[0]
-                assignment[elem] = classes_k[member]
-            maps[obj] = MonotoneMap(prev_fib.fiber(obj), fib_k.fiber(obj), assignment)
-        stages.append(FibrationMorphism(prev_fib, fib_k, maps))
-        prev_fib = fib_k
+        ident = {c: c for c in class_names}
+        transitions = {arr.name: MonotoneMap(fibers[arr.source], fibers[arr.target], ident) for arr in base.arrows}
+        fib = StokesFibration(base, fibers, transitions)
+        step = dict(sorted({prev[n]: cls[n] for n in names}.items()))  # in the source fiber's order
+        maps = {obj: MonotoneMap(prev_fib.fiber(obj), fibers[obj], step) for obj in base.objects}
+        stages.append(FibrationMorphism(prev_fib, fib, maps))
+        prev, prev_fib = cls, fib
     return LevelStructure(tuple(stages))
 
 

@@ -33,6 +33,13 @@ def int_from_json(v) -> int:
     return v
 
 
+def list_from_json(v) -> list:
+    """An array: a JSON list, not a string, which would be read one character per item."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a JSON array, got {v!r}")
+    return v
+
+
 def gaussian_to_json(c: GaussianRational) -> dict:
     return {"re": rat_str(c.re), "im": rat_str(c.im)}
 
@@ -46,7 +53,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(d) -> Matrix:
-    ent = tuple(rat(str(x)) for x in d["entries"])
+    ent = tuple(rat(str(x)) for x in list_from_json(d["entries"]))
     return Matrix(int_from_json(d["rows"]), int_from_json(d["cols"]), ent)
 
 
@@ -82,8 +89,8 @@ def poset_to_json(p: FinPoset) -> dict:
 
 
 def poset_from_json(d) -> FinPoset:
-    elems = [str(e) for e in d["elements"]]
-    leq = d["leq"]
+    elems = [str(e) for e in list_from_json(d["elements"])]
+    leq = [list_from_json(row) for row in list_from_json(d["leq"])]
     n = len(elems)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise ValueError(f"leq must be a {n}x{n} matrix over the {n} elements")

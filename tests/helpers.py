@@ -854,6 +854,22 @@ def subdivide_arc(fib: StokesFibration, i: int):
     return StokesFibration(new_base, fibers, transitions), corr
 
 
+def relabel_fiber(fib: StokesFibration, x: str, sigma: dict) -> StokesFibration:
+    """Rename the elements of the fiber at x by the bijection sigma, and the
+    transitions into and out of x with them; an isomorphic fibration."""
+    p = fib.fiber(x)
+    renamed = FinPoset(tuple(sigma[a] for a in p.elements), frozenset((sigma[a], sigma[b]) for a, b in p.leq))
+    fibers = {**fib.fibers, x: renamed}
+    transitions = {}
+    for arr in fib.base.arrows:
+        assignment = {
+            (sigma[a] if arr.source == x else a): (sigma[b] if arr.target == x else b)
+            for a, b in fib.transition(arr.name).assignment.items()
+        }
+        transitions[arr.name] = MonotoneMap(fibers[arr.source], fibers[arr.target], assignment)
+    return StokesFibration(fib.base, fibers, transitions)
+
+
 def subdivide_functor(f: StokesFunctor, fib_new: StokesFibration, i: int) -> StokesFunctor:
     """Extend a functor across the subdivision of arc s{i}."""
     old = f.fibration
@@ -955,11 +971,18 @@ def stratum_angle(s, obj: str):
 
 def oracle_quotient_fibration(s, threshold: int) -> StokesFibration:
     """The quotient fibration of pole_level_structure, with every class order
-    evaluated again by order_at at the stratum's angle."""
-    from stokeslib.geometry import _pole_classes, order_at
+    evaluated again by order_at at the stratum's angle.  The classes merge
+    pair by pair, and every member pair of two classes is evaluated."""
+    from stokeslib.geometry import leading_data, order_at
 
     e = s.data
-    classes = _pole_classes(e, threshold)
+    cls = {name: {name} for name in e.names}
+    for a, b in e.pairs():
+        if leading_data(e.values[a], e.values[b])[0] <= threshold:
+            merged = cls[a] | cls[b]
+            for n in merged:
+                cls[n] = merged
+    classes = {name: "+".join(sorted(cls[name])) for name in e.names}
     class_names = sorted(set(classes.values()))
     members = {cn: [n for n in e.names if classes[n] == cn] for cn in class_names}
     fibers = {}

@@ -378,3 +378,38 @@ def test_sections_of_a_five_value_circle_are_fast():
 def test_sections_of_a_long_circle_do_not_recurse():
     fib = trivial_circle_fibration(600, FinPoset.antichain(["a"]))
     assert [s.choice for s in cocartesian_sections(fib)] == [{x: "a" for x in fib.base.objects}]
+
+
+def test_collapse_refinement_bytes_are_pinned():
+    """The collapse of seeded refinements of the three- and four-value circles,
+    each subdivided 1-4 times, every other one with 1-5 strata relabelled by
+    random bijections (so the walks across removed points compose isomorphisms
+    that are not identities), as one SHA-256 digest per circle of the JSON of
+    every (fibration, correspondence, flag).  Recorded before collapse read
+    the runs of kept points."""
+    import hashlib
+
+    from stokeslib import serial
+    from helpers import four_value_circle, relabel_fiber
+
+    rng = random.Random(15)
+    got = []
+    for cs in (three_value_circle(), four_value_circle()):
+        outputs = []
+        for case in range(12):
+            fib = cs.fibration
+            for _ in range(rng.randint(1, 4)):
+                fib, _ = subdivide_arc(fib, rng.randrange(fib.base.n))
+            for _ in range(rng.randint(1, 5) if case % 2 else 0):
+                x = rng.choice(fib.base.objects)
+                elements = list(fib.fiber(x).elements)
+                fib = relabel_fiber(fib, x, dict(zip(elements, rng.sample(elements, len(elements)))))
+            assert validate_fibration(fib)[0]
+            out, corr, flat = collapse_refinement(fib)
+            assert out.base.n == cs.fibration.base.n and not flat
+            outputs.append({"fibration": serial.fibration_to_json(out), "correspondence": corr, "fully_constant": flat})
+        got.append(hashlib.sha256(serial.dumps(outputs).encode()).hexdigest())
+    assert got == [
+        "5a0b8ebef4642d923bcd3d0c7b08e3cbaa860e012cb26f560556ef2c789a2c9b",
+        "07bf37d8e73834329dbb664d62e4c8dcbdf9ab2f3bf601a0dcebfd2a500cad97",
+    ]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stokeslib import (
     AffineForm,
@@ -202,6 +204,22 @@ def test_pole_level_structure_examples():
         assert is_level_fibration_morphism(stage)
 
 
+def _seeded_values(rng, n: int) -> dict:
+    """v0 = 0 and n - 1 values c z^-q, q in {1, 2, 3}, each with a lower-order
+    Laurent term when q > 1; drawn again until the values are distinct."""
+    def coefficient():
+        return G(rng.randint(-3, 3) or 1, rng.randint(-3, 3))
+
+    while True:
+        values = {"v0": ZERO}
+        for i in range(1, n):
+            q = rng.choice([1, 2, 3])
+            terms = [(q, coefficient())] + ([(rng.randint(1, q - 1), coefficient())] if q > 1 else [])
+            values[f"v{i}"] = IV.of(*terms)
+        if len({v.terms for v in values.values()}) == n:
+            return values
+
+
 def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
     """build_circle_space evaluates no sign, and every fine fiber it reads off
     the sorted directions holds order_at at its stratum, so the quotient
@@ -216,7 +234,10 @@ def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
         {"a": ZERO, "b": ZM1, "c": IrregularValue.of((1, G(0, 1))), "d": ZM2},
         {"a": ZERO, "b": IrregularValue.of((2, G(1, 1)), (1, G(1))), "c": IrregularValue.of((1, G(-1))),
          "d": IrregularValue.of((2, G(0, 2)))},
-    ] + ORACLE_SETS + [N3_PLAIN]
+    ] + ORACLE_SETS + [N3_PLAIN] + [
+        # differences of pole order 1, 2 and 3 each: three stages, and classes merge at each
+        _seeded_values(random.Random(seed), n) for seed, n in ((0, 5), (13, 5), (9, 6), (2, 6))
+    ]
     calls = []
 
     def counting(name):
@@ -245,6 +266,23 @@ def test_pole_level_structure_reads_the_fine_fibers(monkeypatch):
     for cs, ls in zip(circles, levels):
         for i, stage in enumerate(ls.stages):
             assert stage.target == oracle_quotient_fibration(cs, i + 1)
+
+
+_coefficients = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda c: c != (0, 0))
+_values = st.dictionaries(st.sampled_from([Fraction(1, 2), 1, 2, 3]), _coefficients, max_size=3).map(
+    lambda terms: IV.of(*((q, G(*c)) for q, c in sorted(terms.items(), reverse=True)))
+)
+
+
+@given(a=_values, b=_values, c=_values)
+def test_pole_order_of_a_difference_is_an_ultrametric(a, b, c):
+    """ord(a - c) <= max(ord(a - b), ord(b - c)), with ord 0 for equal values:
+    the balls of pole_level_structure are then its classes."""
+    def order(x, y):
+        lead = leading_data(x, y)
+        return 0 if lead is None else lead[0]
+
+    assert order(a, c) <= max(order(a, b), order(b, c))
 
 
 def test_graded_fibration_of_pole_stage_keeps_classes_apart():
@@ -593,31 +631,42 @@ def test_circle_and_cover_bytes_are_pinned():
         text = serial.dumps([serial.arc_to_json(a) for a in cover])
         assert hashlib.sha256(text.encode()).hexdigest() == want_cover
     # the circle corpus of the benchmark, N = 3, 4, 5 plain and with a Laurent
-    # tail, written out here; (arc count, cover digest), or None for no cover
+    # tail, written out here; (stage count, digest of the morphism JSON of every
+    # level stage), recorded before the stages were read as ultrametric balls;
+    # (arc count, cover digest), or None for no cover
     corpus = [
         (N3_PLAIN,
          "f2bc2fb97df9108492cacf63c37112a49f4f8410b61d763425d09a3e5c2fef2c",
+         (3, "24d855aa1571a63f47fd9875b72004cf9828151ab7b1c13e4e8013524faf9b19"),
          (6, "07ceae34a5c29bd3eb406920eb29fa621f4c987bdb397ecb30edf60c864452d1")),
         ({"v0": ZERO, "v1": IV.of((3, G(-1, -1)), (1, G(-2, 2))), "v2": IV.of((3, G(-3)), (2, G(1, 2)))},
          "214e27477907d03892c7427c440337e996516c6967cc4ff05ae8d8610b5ed4e4",
+         (3, "5d1384c03c12e858641b3c590ab5f15cb3b73a9b16663c3d3c07f55e7af56264"),
          (6, "07ceae34a5c29bd3eb406920eb29fa621f4c987bdb397ecb30edf60c864452d1")),
         ({"v0": ZERO, "v1": IV.of((3, G(3, 3))), "v2": IV.of((3, G(2, 1))), "v3": IV.of((2, G(-2, -1)))},
          "d5177f1ceb6e19f36019b21f86cc979fdf53863c37ecefabbf8c6d8ede111ffc",
+         (3, "9f550d0e97e9adc9caa04b515a523219685371bb38b4132ee18e07dcb9f5226a"),
          (6, "282f825da0113bfb78a5b8fc1c5947fbfe5deabdfccd7c83705d262241a1f286")),
         ({"v0": ZERO, "v1": IV.of((3, G(-1, 3)), (1, G(3, -3))), "v2": IV.of((1, G(-3, 1))),
           "v3": IV.of((2, G(1, -3)), (1, G(1, -2)))},
-         "0033d477511e42682264a2bdce18956cc4257275e24935c6737aed8991b3711b", None),
+         "0033d477511e42682264a2bdce18956cc4257275e24935c6737aed8991b3711b",
+         (3, "c7513c3cee578209609a2af8bcf77904c89b4e9f3a66f125c8924022c4ea8718"), None),
         ({"v0": ZERO, "v1": IV.of((2, G(-3, -2))), "v2": IV.of((1, G(3, 1))), "v3": IV.of((2, G(-1, -3))),
           "v4": IV.of((1, G(1, 3)))},
-         "f99d295e9455e55721b17f9911ea9a4f33a653975f48a378f1b52e3a9d3af62c", None),
+         "f99d295e9455e55721b17f9911ea9a4f33a653975f48a378f1b52e3a9d3af62c",
+         (2, "3d3bfe8cf5b36542c5856055a40d91731d941c7b7fdaae72dc7e10971d9d0664"), None),
         ({"v0": ZERO, "v1": IV.of((3, G(-2)), (1, G(1, -1))), "v2": IV.of((1, G(-2, -2))),
           "v3": IV.of((3, G(-3, 2)), (2, G(-3, 1))), "v4": IV.of((2, G(3, -2)), (1, G(2, 3)))},
-         "1488d661e7b794a306af827b04fcafd2829cfcf115ecc66c7887a585d5fae115", None),
+         "1488d661e7b794a306af827b04fcafd2829cfcf115ecc66c7887a585d5fae115",
+         (3, "1b19bbbd6fa06fac86cd36cebb4e9b1f2a50816638d0297c03f93f98b7b47b96"), None),
     ]
-    for values, want_circle, want_cover in corpus:
+    for values, want_circle, want_stages, want_cover in corpus:
         cs = build_circle_space(ExponentialData(values))
         text = serial.dumps(serial.circle_space_to_json(cs))
         assert hashlib.sha256(text.encode()).hexdigest() == want_circle
+        stages = pole_level_structure(cs).stages
+        text = serial.dumps([serial.morphism_to_json(stage) for stage in stages])
+        assert (len(stages), hashlib.sha256(text.encode()).hexdigest()) == want_stages
         cover = elementary_cover(cs)
         if want_cover is None:
             assert cover is None

@@ -388,3 +388,25 @@ def test_grade_and_induce_refuse_a_target_fibration_that_is_not_one():
     for op in (grade, induce):
         with pytest.raises(ValueError, match="target fibration"):
             op(p, f)
+
+
+def test_level_assemble_refuses_an_alpha_that_names_nothing():
+    """The keys of alpha are exactly the total objects of the target of p; the
+    first missing or unknown key, in sorted order, is named."""
+    from stokeslib import pole_level_structure
+    from helpers import random_standard_functor, three_value_circle
+
+    cs3 = three_value_circle()
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    stage = pole_level_structure(cs3).stages[0]
+    g, h, alpha = level_disassemble(stage, f)
+    keys = sorted(alpha)
+    assert keys == sorted((x, c) for x in stage.target.base.objects for c in stage.target.fiber(x).elements)
+    with pytest.raises(ValueError, match=r"names no total object \('nowhere', 'zz'\)"):
+        level_assemble(stage, g, h, {**alpha, ("nowhere", "zz"): alpha[keys[0]]})
+    with pytest.raises(ValueError, match=r"names no total object \('p0', 'u'\)"):
+        level_assemble(stage, g, h, {**alpha, ("p0", "u"): alpha[keys[0]], ("s0", "v"): alpha[keys[0]]})
+    missing = {k: m for k, m in alpha.items() if k not in keys[1:3]}
+    with pytest.raises(ValueError, match=rf"has no entry at \('{keys[1][0]}', '{keys[1][1]}'\)"):
+        level_assemble(stage, g, h, missing)
+    assert level_assemble(stage, g, h, alpha).spaces == f.spaces

@@ -804,3 +804,67 @@ def test_cli_refuses_keys_that_name_nothing(tmp_path, space, capsys):
     p.write_text(json.dumps({**good, "spaces": {**good["spaces"], "garbage": 1}}))
     for cmd in ("validate", "is-stokes", "split"):
         assert run_cli(tmp_path, cmd, "--input", str(p)) == 2, cmd
+
+
+def test_cli_refuses_strings_where_arrays_are_expected(tmp_path, space):
+    """A JSON string where an array is expected would be read one character per
+    item, so "entries": "10" gave a 2x1 matrix; every such document is bad input."""
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    tall = next(aid for aid, m in good["arrows"].items() if (m["rows"], m["cols"]) == (2, 1))
+    fibration = good["fibration"]
+    p0 = fibration["fibers"]["p0"]
+    poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"],
+            "pairs": {"a|b": {"form": 0, "orient": "+"}}}
+    docs = [
+        ("validate", {**good, "arrows": {**good["arrows"], tall: {**good["arrows"][tall], "entries": "10"}}}),
+        ("is-stokes", {**good, "arrows": {**good["arrows"], tall: {**good["arrows"][tall], "entries": "10"}}}),
+        ("validate", {**fibration, "fibers": {**fibration["fibers"], "p0": {**p0, "elements": "ab"}}}),
+        ("sections", {**fibration, "fibers": {**fibration["fibers"], "p0": {**p0, "elements": "ab"}}}),
+        ("validate", {**fibration, "fibers": {**fibration["fibers"], "p0": {**p0, "leq": ["tt", p0["leq"][1]]}}}),
+        ("elementary", {**poly, "strata": "-0+"}),
+        ("elementary", {**poly, "forms": [{"coeffs": "1", "const": "0"}]}),
+        ("elementary", {**poly, "forms": {"coeffs": ["1"], "const": "0"}}),
+    ]
+    p = tmp_path / "bad.json"
+    for command, doc in docs:
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
+    for command, doc in (("validate", good), ("validate", fibration), ("elementary", poly)):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 0, command
+    for v in ("ab", {"a": 1}, None, 3):
+        with pytest.raises(ValueError):
+            serial.list_from_json(v)
+    assert serial.list_from_json(["a"]) == ["a"]
+
+
+def test_cli_assemble_refuses_an_alpha_that_names_nothing(tmp_path, capsys):
+    """Every key of alpha is a total object of the morphism's target: an extra
+    key and a missing one are bad input, named in the message."""
+    import random
+
+    from helpers import random_standard_functor, three_value_circle
+
+    cs3 = three_value_circle()
+    space_path = tmp_path / "space3.json"
+    space_path.write_text(serial.dumps(serial.circle_space_to_json(cs3)))
+    f_path = tmp_path / "f.json"
+    f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
+    f_path.write_text(serial.dumps(serial.functor_to_json(f)))
+    dis = tmp_path / "dis.json"
+    assert run_cli(
+        tmp_path, "disassemble", "--input", str(f_path), "--space", str(space_path), "--level", "1",
+        "--output", str(dis),
+    ) == 0
+    doc = json.loads(dis.read_text())
+    first = sorted(doc["alpha"])[0]
+    bad = tmp_path / "bad.json"
+    for alpha, named in (
+        ({**doc["alpha"], "(nowhere,zz)": doc["alpha"][first]}, "('nowhere', 'zz')"),
+        ({k: m for k, m in doc["alpha"].items() if k != first}, str(serial.parse_total_key(first))),
+    ):
+        bad.write_text(serial.dumps({**doc, "alpha": alpha}))
+        capsys.readouterr()
+        assert run_cli(tmp_path, "assemble", "--input", str(bad)) == 2
+        assert named in capsys.readouterr().err
+    assert run_cli(tmp_path, "assemble", "--input", str(dis)) == 0
