@@ -26,6 +26,7 @@ from .fibrations import (
 )
 from .functors import (
     grade,
+    hom_complex,
     induce,
     level_assemble,
     level_disassemble,
@@ -235,8 +236,6 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    from .functors import hom_complex
-
     doc = _read_json(args.input)
     if "f" in doc and "g" in doc:
         f = _functor_from_doc(doc["f"], f"{args.input} (f)")

@@ -6,18 +6,23 @@ cocartesian lift per (base arrow, fiber element).  The operations decide
 punctual splitting by the top-dimension count, cocartesianness through
 specialization matrices, perform induction and graduation on split
 coordinates, realize the level-induction pullback square, solve global
-splitting as one exact linear system, and compute Ext dimensions from the
-nerve cochain complex of the total category.
+splitting as one exact linear system, and compute Ext from Hom(P, G) for a
+minimal projective resolution P of F over the total category: the complex
+that ``hom_complex`` returns and the CLI prints, padded with zero terms to
+the length of the nerve complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import TopologicalSorter
+from itertools import accumulate
 
 from .bases import BaseFunctor
 from .exactmath import (
     Matrix,
+    _echelon,
     block_diag,
     column_space_complement,
     hstack_all,
@@ -36,7 +41,6 @@ from .fibrations import (
     fiberwise_set,
     graded_fibration,
     is_level_fibration_morphism,
-    nondegenerate_chains,
     pullback_fibration,
     validate_fibration,
 )
@@ -776,95 +780,81 @@ def _sparse_lines(m: Matrix, by_column: bool) -> list:
 
 
 def hom_complex(f: StokesFunctor, g: StokesFunctor) -> HomComplex:
-    """Nerve cochains of the total category with Hom(F(head), G(tail)) parts.
+    """Hom(P, G) for a minimal projective resolution P of F over the total category.
 
-    A degree-n cochain assigns to each composable chain of n nonidentity
-    morphisms a matrix F(source of chain) -> G(target of chain); the
-    simplicial differential's cohomology computes the Ext groups between
-    the two functors over the total category.  The value on a chain is
-    stored row-major, and each differential is built directly as sparse
-    rows.
+    P_n sums representables P_w = Q[Hom(w, -)], and Hom(P_w, G) = G(w).  Each
+    module is a basis at every object v: in F(v), then in the coordinates
+    (j, h), h: w_j -> v, of the last cover, which m relabels to (j, m h).  Its
+    generators t_j complete the images of the nonidentity morphisms into w_j
+    to a basis, and the cover sends (j, h) to M(h) t_j.  The t_j at one object
+    are independent modulo those images, so no vector of the cover's kernel,
+    the next module, has a (j, identity) coordinate: only nonidentity h are
+    coordinates.  A next generator sum c (j, h) gives the rows sum c G(h) of
+    the differential.  Zero terms pad the complex to the nerve's length: the
+    longest chain of nonidentity morphisms, plus one.
     """
     if f.fibration != g.fibration:
         raise ValueError("functors live on different fibrations")
     total_cat = TotalCategory.of(f.fibration)
-    chains = nondegenerate_chains(total_cat)
-    max_len = max(chains.keys())
-    fdim, gdim = f.spaces, g.spaces
+    into: dict = {v: [] for v in total_cat.objects}
+    for m in total_cat.nonidentity():
+        into[m.target].append(m)
+    height: dict = {}  # the longest chain of nonidentity morphisms into v
+    for v in TopologicalSorter({v: {m.source for m in ms} for v, ms in into.items()}).static_order():
+        height[v] = max((height[m.source] + 1 for m in into[v]), default=0)
 
-    def ends(level: int, ch):
-        if level == 0:
-            return ch, ch
-        return ch[0].source, ch[-1].target
+    mats: dict = {}  # one structure matrix per nonidentity morphism and functor, by columns
 
-    coords: list[dict] = []
-    dims: list[int] = []
-    for level in range(max_len + 1):
-        offset = {}
-        run = 0
-        for ch in chains.get(level, []):
-            src, tgt = ends(level, ch)
-            offset[ch] = run
-            run += fdim[src] * gdim[tgt]
-        coords.append(offset)
-        dims.append(run)
+    def columns(functor: StokesFunctor, m) -> list:
+        if (id(functor), m) not in mats:
+            mats[id(functor), m] = _sparse_lines(functor.morphism_matrix(m), True)
+        return mats[id(functor), m]
 
-    # structure maps, one matrix per morphism per functor: the columns of F(m) and the rows of G(m)
-    f_mats: dict = {}
-    g_mats = f_mats if g is f else {}
-    pre_cols: dict = {}
-    post_rows: dict = {}
+    def combine(terms) -> dict:
+        """The sum of (coordinate, value) terms, without its zeros."""
+        out: dict = {}
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+        return {k: v for k, v in out.items() if v}
 
-    def structure(cache: dict, mats: dict, functor: StokesFunctor, m, by_column: bool) -> list:
-        lines = cache.get(m)
-        if lines is None:
-            mat = mats.get(m)
-            if mat is None:
-                mat = mats[m] = functor.morphism_matrix(m)
-            lines = cache[m] = _sparse_lines(mat, by_column)
-        return lines
+    def act(m, vec: dict) -> dict:
+        """The module being resolved, on a vector at the source of m."""
+        if labels is None:
+            return combine((r, c * x) for i, c in vec.items() for r, x in columns(f, m)[i])
+        where = index[m.target]
+        return combine((where[j, total_cat.compose(h, m)], c) for i, c in vec.items() for j, h in [labels[m.source][i]])
 
-    all_rows = []
-    for level in range(max_len):
-        coord = coords[level]
-        rows: dict[int, dict[int, Fraction]] = {}
-        for ch in chains.get(level + 1, []):
-            src, tgt = ends(level + 1, ch)
-            d_src, d_tgt = fdim[src], gdim[tgt]
-            r_off = coords[level + 1][ch]
-            # face 0: drop the first morphism, precompose with F(ch[0])
-            first = coord[ch[1:] if level >= 1 else ch[0].target]
-            first_width = fdim[ch[0].target]
-            pre = structure(pre_cols, f_mats, f, ch[0], True)  # F(src) -> F(ch[0].target)
-            # inner faces: merge consecutive morphisms
-            inner = [
-                (
-                    coord[ch[: i - 1] + (total_cat.compose(ch[i - 1], ch[i]),) + ch[i + 1 :]],
-                    Fraction((-1) ** i),
-                )
-                for i in range(1, level + 1)
-            ]
-            # last face: drop the last morphism, postcompose with G(ch[-1])
-            last = coord[ch[:-1] if level >= 1 else ch[0].source]
-            post = structure(post_rows, g_mats, g, ch[-1], False)  # G(ch[-1].source) -> G(tgt)
-            sign = (-1) ** (level + 1)
-            for r in range(d_tgt):
-                base = first + r * first_width
-                post_r = [(last + i2 * d_src, sign * v) for i2, v in post[r]]
-                for s in range(d_src):
-                    # component (r, s) of the value on ch: row r of G(tgt), col s of F(src)
-                    rs = r * d_src + s
-                    row = {base + j: v for j, v in pre[s]}
-                    # later faces may hit the same column; drop what cancels
-                    for c, v in [(off + rs, sg) for off, sg in inner] + [(off + s, v) for off, v in post_r]:
-                        new = row.get(c, 0) + v
-                        if new:
-                            row[c] = new
-                        else:
-                            del row[c]
-                    if row:
-                        rows[r_off + rs] = row
-        all_rows.append(rows)
+    basis = {v: [{i: Fraction(1)} for i in range(f.spaces[v])] for v in total_cat.objects}
+    labels, dims, all_rows = None, [], []
+    for _ in range(max(height.values(), default=0) + 1):
+        tops = []
+        for w in total_cat.objects:
+            ech = _echelon(act(m, b) for m in into[w] for b in basis[m.source])
+            tops += [(w, b) for b in basis[w] if ech.insert(b) is not None]
+        starts = list(accumulate((g.spaces[w] for w, _ in tops), initial=0))
+        if labels is not None:
+            terms = [(start, labels[u][i], c) for start, (u, vec) in zip(starts, tops) for i, c in vec.items()]
+            entries = combine(
+                ((start + r, offsets[j] + s), c * x)
+                for start, (j, h), c in terms
+                for s, col in enumerate(columns(g, h))
+                for r, x in col
+            )
+            rows: dict = {}
+            for (r, s), x in sorted(entries.items()):
+                rows.setdefault(r, {})[s] = x
+            all_rows.append(rows)
+        dims.append(starts[-1])
+        # the cover, with coordinates (j, h) at each object; its kernel is the next module
+        gens_at = {w: [j for j, (u, _) in enumerate(tops) if u == w] for w in total_cat.objects}
+        cover = {v: [(j, h) for h in into[v] for j in gens_at[h.source]] for v in total_cat.objects}
+        basis = {}
+        for v, coords in cover.items():
+            images = [act(h, tops[j][1]) for j, h in coords]
+            eqs = {r: {col: im[r] for col, im in enumerate(images) if r in im} for r in set().union(*images)}
+            basis[v] = sparse_kernel_basis(eqs.values(), len(coords))
+        labels, offsets = cover, starts
+        index = {v: {lab: i for i, lab in enumerate(coords)} for v, coords in cover.items()}
     return HomComplex(dims, all_rows)
 
 

@@ -33,6 +33,13 @@ def int_from_json(v) -> int:
     return v
 
 
+def bool_from_json(v) -> bool:
+    """A flag: JSON true or false, not a string or number read by truthiness."""
+    if type(v) is not bool:
+        raise ValueError(f"expected a JSON boolean, got {v!r}")
+    return v
+
+
 def list_from_json(v) -> list:
     """An array: a JSON list, not a string, which would be read one character per item."""
     if not isinstance(v, list):
@@ -74,7 +81,9 @@ def angle_to_json(a) -> dict:
 def angle_from_json(d):
     if d["kind"] == "exact":
         return ExactAngle(rat(str(d["t"])))
-    return direction_from_json(d)
+    if d["kind"] == "direction":
+        return direction_from_json(d)
+    raise ValueError(f"angle kind must be 'exact' or 'direction', got {d['kind']!r}")
 
 
 # -- posets and maps ----------------------------------------------------------
@@ -94,11 +103,7 @@ def poset_from_json(d) -> FinPoset:
     n = len(elems)
     if len(leq) != n or any(len(row) != n for row in leq):
         raise ValueError(f"leq must be a {n}x{n} matrix over the {n} elements")
-    rel = set()
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if leq[i][j]:
-                rel.add((a, b))
+    rel = {(a, b) for a, row in zip(elems, leq) for b, le in zip(elems, row) if bool_from_json(le)}
     return FinPoset(tuple(elems), frozenset(rel))
 
 
@@ -114,7 +119,9 @@ def base_to_json(b: BaseCategory) -> dict:
 def base_from_json(d) -> BaseCategory:
     if d["kind"] == "circle":
         return make_circle_base(int_from_json(d["n"]))
-    return make_poset_base(poset_from_json(d["poset"]))
+    if d["kind"] == "poset":
+        return make_poset_base(poset_from_json(d["poset"]))
+    raise ValueError(f"base kind must be 'circle' or 'poset', got {d['kind']!r}")
 
 
 def fibration_to_json(f: StokesFibration) -> dict:
@@ -126,6 +133,8 @@ def fibration_to_json(f: StokesFibration) -> dict:
 
 
 def fibration_from_json(d) -> StokesFibration:
+    if d["base"]["kind"] == "circle" and len(d["fibers"]) != 2 * int_from_json(d["base"]["n"]):
+        raise ValueError(f"a circle base of n = {d['base']['n']} points has 2n fibers, not {len(d['fibers'])}")
     base = base_from_json(d["base"])
     fibers = {x: poset_from_json(d["fibers"][x]) for x in base.objects}
     transitions = {}
@@ -234,7 +243,7 @@ def arc_to_json(a: Arc) -> dict:
 
 
 def arc_from_json(d) -> Arc:
-    if d.get("full"):
+    if bool_from_json(d.get("full", False)):
         return Arc(None, None, full=True)
     return Arc(angle_from_json(d["start"]), angle_from_json(d["end"]))
 

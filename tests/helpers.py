@@ -113,15 +113,17 @@ def matrix_sparse_rows(m: Matrix) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# dense nerve cochain complex (the oracle for the sparse hom_complex)
+# dense nerve cochain complex (the oracle for the resolution in hom_complex)
 
 
 def oracle_hom_complex(f: StokesFunctor, g: StokesFunctor):
     """(dims, dense differentials) of the nerve cochain complex Hom(F, G).
 
-    Fills each differential as a dense list of Fractions, recomputing the
-    structure maps at every face.  Chains, faces, signs and the row-major
-    indexing of a chain's value are those of ``stokeslib.hom_complex``.
+    A degree-n cochain gives each chain of n composable nonidentity
+    morphisms, from ``nondegenerate_chains``, a matrix F(source) -> G(target),
+    stored row-major.  Each differential is filled as a dense list of
+    Fractions, recomputing the structure maps at every face.  It trusts that
+    the chains are distinct: an equal pair would overwrite an offset.
     """
     total_cat = TotalCategory.of(f.fibration)
     chains = nondegenerate_chains(total_cat)

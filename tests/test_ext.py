@@ -38,16 +38,21 @@ from helpers import (
 
 
 def checked_complex(f: StokesFunctor, g: StokesFunctor):
-    """hom_complex(f, g), checked against the dense oracle and Nat(f, g)."""
+    """hom_complex(f, g), checked against the dense nerve oracle and Nat(f, g):
+    the same cohomology, list and length, the same Euler characteristic, and
+    differentials that compose to zero."""
     hc = hom_complex(f, g)
     dims, diffs = oracle_hom_complex(f, g)
-    assert hc.dims == dims
-    assert hc.differentials == diffs
+    assert len(hc.dims) == len(dims)
+    assert [(d.rows, d.cols) for d in hc.differentials] == list(zip(hc.dims[1:], hc.dims))
+    for d0, d1 in zip(hc.differentials, hc.differentials[1:]):
+        assert (d1 @ d0).is_zero()
     for sparse in hc.rows:
         assert list(sparse) == sorted(sparse)
         assert all(row and all(row.values()) for row in sparse.values())
     expected = oracle_cohomology_dims(dims, diffs)
     assert hc.cohomology_dims() == expected
+    assert hc.euler_characteristic() == sum((-1) ** i * d for i, d in enumerate(dims))
     assert expected[0] == len(natural_transformation_basis(f, g))
     return hc
 
@@ -84,7 +89,8 @@ def test_one_point_one_fiber():
 def test_trivial_rank_one_circle():
     f = local_system(1, [Matrix.identity(1)])
     hc = checked_complex(f, f)
-    assert hc.dims == [2, 2]
+    # P_p0 covers F; its kernel at s0 is p0+ minus p0-, so P_1 = P_s0
+    assert hc.dims == [1, 1]
     assert hc.cohomology_dims() == [1, 1]
     assert hc.euler_characteristic() == 0
 
@@ -99,8 +105,9 @@ def test_chain_fiber_induced_from_bottom():
         {cover_arrow_id("x", "a", "b"): Matrix.identity(1)},
     )
     hc = checked_complex(f, f)
-    assert hc.dims == [2, 1]
-    # End of a projective-like object: H^0 = 1, H^1 = 0
+    # F is the representable P_a, its own resolution; the zero term pads to the nerve's length
+    assert hc.dims == [1, 0]
+    # End of a projective object: H^0 = 1, H^1 = 0
     assert hc.cohomology_dims() == [1, 0]
 
 
@@ -317,3 +324,81 @@ def test_natural_transformations_of_mixed_pairs_match_the_oracles(on_circle, dim
             right = oracle_matmul(mat_rows(gm), mat_rows(eta[src]), f.spaces[src])
             assert left == right, arrow_id
     assert len(basis) == oracle_cohomology_dims(*oracle_hom_complex(f, g))[0]
+
+
+def test_ext_dims_equal_the_nerve_oracle_on_circle_pairs():
+    """Conjugated pairs on the three-value circle, ranks at most 2, mixed and
+    self, and the Kronecker module on the one-point circle, whose arrows p0+
+    and p0- both run p0 -> s0 (lifts [1] and [2]): the same list, of the same
+    length, as the nerve complex."""
+    from stokeslib import ExponentialData, IrregularValue, build_circle_space
+
+    rng = random.Random(0)
+    fib = _three_value_fibration()
+    pairs = []
+    for dims_f, dims_g in (((2, 0, 1), (1, 1, 0)), ((1, 1, 0), (0, 1, 1)), ((1, 0, 1), None)):
+        f = random_standard_functor(fib, dict(zip("uvw", dims_f)), rng, conjugate=True)
+        g = f if dims_g is None else random_standard_functor(fib, dict(zip("uvw", dims_g)), rng, conjugate=True)
+        pairs.append((f, g))
+    one_point = build_circle_space(ExponentialData({"a": IrregularValue.zero()})).fibration
+    lifts = {lift_arrow_id("p0+", "a"): Matrix.from_rows([[1]]), lift_arrow_id("p0-", "a"): Matrix.from_rows([[2]])}
+    kronecker = StokesFunctor(one_point, {("p0", "a"): 1, ("s0", "a"): 1}, lifts)
+    pairs.append((kronecker, kronecker))
+    for f, g in pairs:
+        assert ext_dims(f, g) == oracle_cohomology_dims(*oracle_hom_complex(f, g))
+    assert ext_dims(kronecker, kronecker) == [1, 1]
+
+
+def _diamond_thin(support: str) -> StokesFunctor:
+    """Q on each element of a convex support, identities between them, 0 elsewhere."""
+    base = make_poset_base(FinPoset.antichain(["x"]))
+    fib = StokesFibration(base, {"x": _DIAMOND}, {})
+    dims = {a: int(a in support) for a in _DIAMOND.elements}
+    arrows = {
+        cover_arrow_id("x", a, b): Matrix.identity(1) if dims[a] and dims[b] else Matrix.zeros(dims[b], dims[a])
+        for a, b in _DIAMOND.covers()
+    }
+    return StokesFunctor(fib, {("x", a): d for a, d in dims.items()}, arrows)
+
+
+def test_ext_dims_equal_the_nerve_oracle_on_diamond_pairs():
+    """The simple functor at the bottom of the diamond a < b, c < d has the
+    minimal resolution P_d -> P_b + P_c -> P_a, so Ext^2 to the simple at the
+    top is 1; random pairs on the diamond reach Ext^2 too."""
+    bottom, top = _diamond_thin("a"), _diamond_thin("d")
+    assert ext_dims(bottom, top) == oracle_cohomology_dims(*oracle_hom_complex(bottom, top)) == [0, 0, 1]
+    assert hom_complex(bottom, _diamond_thin("abcd")).dims == [1, 2, 1]
+    rng = random.Random(3)
+    second = 0
+    for _ in range(12):
+        f, g = (random_functor_with_dims(_DIAMOND, {a: rng.randint(0, 2) for a in "abcd"}, rng) for _ in range(2))
+        dims = ext_dims(f, g)
+        assert dims == oracle_cohomology_dims(*oracle_hom_complex(f, g))
+        second += dims[2] > 0
+    assert second
+
+
+def test_ext_dims_of_a_mixed_circle_pair_survive_subdivision():
+    """Subdividing an arc of both functors leaves Ext, and its length, as the
+    nerve oracle gives it before the subdivision."""
+    from helpers import subdivide_arc, subdivide_functor
+
+    rng = random.Random(11)
+    fib = two_value_circle().fibration
+    f = random_standard_functor(fib, {"a": 2, "b": 1}, rng, conjugate=True)
+    g = random_standard_functor(fib, {"a": 1, "b": 2}, rng, conjugate=True)
+    expected = oracle_cohomology_dims(*oracle_hom_complex(f, g))
+    for arc in range(fib.base.n):
+        fib2, _ = subdivide_arc(fib, arc)
+        assert ext_dims(subdivide_functor(f, fib2, arc), subdivide_functor(g, fib2, arc)) == expected
+        assert ext_dims(subdivide_functor(f, fib2, arc), subdivide_functor(f, fib2, arc)) == ext_dims(f, f)
+
+
+def test_four_value_rank_two_self_ext_is_pinned():
+    """The values {0, 1/z, i/z, 1/z^2}, every rank 2, conjugated: Ext^1 = 73,
+    and the nerve's length 5 is kept."""
+    from helpers import four_value_circle
+
+    fib = four_value_circle().fibration
+    f = random_standard_functor(fib, dict.fromkeys("abcd", 2), random.Random(0), conjugate=True)
+    assert ext_dims(f, f) == [1, 73, 0, 0, 0]

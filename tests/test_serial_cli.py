@@ -346,7 +346,10 @@ def test_cli_ext_rejects_invalid_functors(tmp_path, space, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_cli_ext_stdout_is_the_dense_oracle_complex(tmp_path, space, capsys):
+def test_cli_ext_stdout_agrees_with_the_nerve_oracle(tmp_path, space, capsys):
+    """The printed Ext dims and Euler characteristic are those of the dense
+    nerve complex; the printed complex is the resolution's, whose
+    differentials compose to zero and whose cohomology is the printed Ext."""
     from helpers import oracle_cohomology_dims, oracle_hom_complex
 
     f = rank_one_one_functor(space)
@@ -358,20 +361,21 @@ def test_cli_ext_stdout_is_the_dense_oracle_complex(tmp_path, space, capsys):
         path = tmp_path / "in.json"
         path.write_text(serial.dumps(doc))
         assert run_cli(tmp_path, "ext", "--input", str(path)) == 0
+        out = json.loads(capsys.readouterr().out)
         dims, diffs = oracle_hom_complex(a, b)
-        expected = serial.dumps(
-            {
-                "ext_dims": oracle_cohomology_dims(dims, diffs),
-                "euler_characteristic": sum((-1) ** i * d for i, d in enumerate(dims)),
-                "complex": {"dims": dims, "differentials": [serial.matrix_to_json(d) for d in diffs]},
-            }
-        )
-        assert capsys.readouterr().out == expected
+        assert out["ext_dims"] == oracle_cohomology_dims(dims, diffs)
+        assert out["euler_characteristic"] == sum((-1) ** i * d for i, d in enumerate(dims))
+        cdims = out["complex"]["dims"]
+        printed = [serial.matrix_from_json(d) for d in out["complex"]["differentials"]]
+        assert [(m.rows, m.cols) for m in printed] == list(zip(cdims[1:], cdims))
+        assert all((m1 @ m0).is_zero() for m0, m1 in zip(printed, printed[1:]))
+        assert oracle_cohomology_dims(cdims, printed) == out["ext_dims"]
 
 
 def test_cli_ext_stdout_is_pinned(tmp_path, space, capsys):
     """SHA-256 of the ext stdout on a circle, a poset and a one-point-circle
-    base, recorded before total morphisms lost their generator paths."""
+    base, recorded when the complex became the projective resolution's; the
+    Ext dims and Euler characteristics are those the nerve complex printed."""
     import hashlib
 
     from stokeslib import ExponentialData, IrregularValue, StokesFunctor, build_circle_space, lift_arrow_id
@@ -384,17 +388,19 @@ def test_cli_ext_stdout_is_pinned(tmp_path, space, capsys):
         {lift_arrow_id("p0+", "a"): Matrix.from_rows([[1]]), lift_arrow_id("p0-", "a"): Matrix.from_rows([[2]])},
     )
     pinned = [
-        (rank_one_one_functor(space), "0ee779ba7b554690ea86fb57916034306304f29fd3b4b5c6e2340beed68e3b87"),
-        (nonsplit_witness(space), "119e439dfb8293f316f8e080cd6459bdf22475dbae3969597baaee300c34372d"),
-        (diamond_base_functor(), "af3d766aea9504b56798492f88f671a2a08539a46b3bef299484307f9ef869a5"),
-        (kronecker, "dbe31016ce1aa5a8d89291c655ee9d61bf5ee487f42bf12b421a1429c5f84666"),
+        (rank_one_one_functor(space), [2, 4, 0], -2, "7c62af22ecad9bbf0b7a4f32135122e2eb029a7253736ca0e50a5e1fd0461d41"),
+        (nonsplit_witness(space), [1, 3, 0], -2, "5ef3a5f5958539ae6f22963d70e15906ce1b8aa9ad4165e9df197c984286c8ca"),
+        (diamond_base_functor(), [3, 0, 0, 0], 3, "d34e85eb8f3daa5f1c46677d9ba7afdbeaf5c893bd2a412b52fe01294b94c5a7"),
+        (kronecker, [1, 1], 0, "fa76180464b52b33af4d16ef6dded524c37a1aa1d91a638567453774518cae89"),
     ]
     path = tmp_path / "in.json"
-    for f, want in pinned:
+    for f, ext, euler, want in pinned:
         path.write_text(serial.dumps(serial.functor_to_json(f)))
         capsys.readouterr()
         assert run_cli(tmp_path, "ext", "--input", str(path)) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+        text = capsys.readouterr().out
+        assert (json.loads(text)["ext_dims"], json.loads(text)["euler_characteristic"]) == (ext, euler)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_cli_multi_input_output_names_do_not_depend_on_hash_seed(tmp_path, space):
@@ -868,3 +874,82 @@ def test_cli_assemble_refuses_an_alpha_that_names_nothing(tmp_path, capsys):
         assert run_cli(tmp_path, "assemble", "--input", str(bad)) == 2
         assert named in capsys.readouterr().err
     assert run_cli(tmp_path, "assemble", "--input", str(dis)) == 0
+
+
+def test_json_booleans_are_read_strictly(tmp_path, space):
+    """A leq entry and an arc's "full" are JSON true or false: the string
+    "false" once read as true, so a fibration with a <= b on s0 was "valid",
+    and "full": "no" gave a full arc."""
+    for v in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ValueError):
+            serial.bool_from_json(v)
+    assert serial.bool_from_json(True) is True and serial.bool_from_json(False) is False
+    fibration = serial.fibration_to_json(space.fibration)
+    fibers = fibration["fibers"]
+    circle = serial.circle_space_to_json(space)
+    arc = {"start": {"kind": "exact", "t": "1/4"}, "end": {"kind": "exact", "t": "3/4"}}
+    p = tmp_path / "doc.json"
+    for command, doc in (
+        ("validate", {**fibration, "fibers": {**fibers, "s0": {**fibers["s0"], "leq": [[True, "false"], [False, True]]}}}),
+        ("validate", {**fibration, "fibers": {**fibers, "s0": {**fibers["s0"], "leq": [[1, 0], [0, 1]]}}}),
+        ("elementary", {"space": circle, "arc": {"full": "no"}}),
+        ("elementary", {"space": circle, "arc": {"full": 1}}),
+        ("elementary", {"space": circle, "arc": {**arc, "full": "false"}}),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
+    for command, doc, code in (
+        ("validate", fibration, 0),
+        ("elementary", {"space": circle, "arc": {"full": True}}, 1),
+        ("elementary", {"space": circle, "arc": {**arc, "full": False}}, 0),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == code, (command, doc)
+
+
+def test_only_known_kinds_are_read(tmp_path, space):
+    """An angle is "exact" or "direction" and a base "circle" or "poset"; an
+    arc end of kind "banana" was read as a direction."""
+    end = {"kind": "banana", "c": {"re": "1", "im": "0"}, "m": 1, "k": 0}
+    with pytest.raises(ValueError):
+        serial.angle_from_json(end)
+    with pytest.raises(ValueError):
+        serial.base_from_json({"kind": "Circle", "n": 2})
+    p = tmp_path / "doc.json"
+    start = {"kind": "exact", "t": "1/4"}
+    fibration = serial.fibration_to_json(space.fibration)
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    for command, doc in (
+        ("elementary", {"space": serial.circle_space_to_json(space), "arc": {"start": start, "end": end}}),
+        ("validate", {**fibration, "base": {**fibration["base"], "kind": "banana"}}),
+        ("is-stokes", {**good, "fibration": {**fibration, "base": {**fibration["base"], "kind": "banana"}}}),
+        ("export-dot", {"kind": "banana", "n": 2}),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
+
+
+def test_a_circle_base_size_is_checked_before_the_base_is_built(tmp_path, space, monkeypatch):
+    """A circle base of n points has 2n fibers; a document that declares
+    n = 10**6 beside the two-value circle's fibers is refused before a
+    million-point base is built."""
+    fibration = serial.fibration_to_json(space.fibration)
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    p = tmp_path / "doc.json"
+    docs = []
+    for n in (10**6, 1, 3, 0):
+        base = {"kind": "circle", "n": n}
+        docs += [("validate", {**fibration, "base": base}), ("sections", {**fibration, "base": base})]
+        docs += [("split", {**good, "fibration": {**fibration, "base": base}})]
+
+    def refuse(n):
+        raise AssertionError(f"make_circle_base({n}) reached")
+
+    with monkeypatch.context() as m:
+        m.setattr(serial, "make_circle_base", refuse)
+        for command, doc in docs:
+            p.write_text(json.dumps(doc))
+            assert run_cli(tmp_path, command, "--input", str(p)) == 2, command
+    for command, doc in (("validate", fibration), ("split", good)):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 0
