@@ -13,11 +13,12 @@ import functools
 import json
 import sys
 import zlib
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 from . import serial
 from .directions import as_exact
-from .exactmath import rat, rat_str
+from .exactmath import rat_str
 from .fibrations import (
     cocartesian_sections,
     collapse_refinement,
@@ -71,39 +72,44 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _functor_from_doc(doc, where: str):
+# a kind of document: the key that only its documents hold, its reader, its check and its DOT writer
+_Kind = namedtuple("_Kind", "key read check dot")
+_KINDS = {
+    "functor": _Kind(
+        "spaces", serial.functor_from_json, validate_functor, lambda f: serial.fibration_to_dot(f.fibration, f)
+    ),
+    "fibration": _Kind("fibers", serial.fibration_from_json, validate_fibration, serial.fibration_to_dot),
+    "base": _Kind("kind", serial.base_from_json, None, serial.base_to_dot),
+}
+
+
+def _kind(doc, kinds=tuple(_KINDS)) -> str:
+    """The first of ``kinds`` whose key the document holds."""
+    doc = serial.mapping_from_json(doc)
+    for kind in kinds:
+        if _KINDS[kind].key in doc:
+            return kind
+    raise InputError(f"expected a {' or '.join(kinds)} document")
+
+
+def _load(doc, where: str, kind: str = "functor", check: bool = True):
+    """The ``kind`` that ``doc`` holds, read and, with ``check``, validated;
+    each InputError names ``where``, the document's location."""
     try:
-        f = serial.functor_from_json(doc)
+        value = _KINDS[kind].read(doc)
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{where}: not a functor document ({exc})") from exc
-    ok, why = validate_functor(f)
+        raise InputError(f"{where}: not a {kind} document ({exc})") from exc
+    ok, why = _KINDS[kind].check(value) if check else (True, "ok")
     if not ok:
-        raise InputError(f"{where}: invalid functor: {why}")
-    return f
-
-
-def _load_functor(path: str):
-    return _functor_from_doc(_read_json(path), path)
-
-
-def _load_fibration(path: str):
-    try:
-        fib = serial.fibration_from_json(_read_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: not a fibration document ({exc})") from exc
-    ok, why = validate_fibration(fib)
-    if not ok:
-        raise InputError(f"{path}: invalid fibration: {why}")
-    return fib
+        raise InputError(f"{where}: invalid {kind}: {why}")
+    return value
 
 
 def _load_morphism(args):
     if args.morphism:
-        doc = _read_json(args.morphism)
-        return serial.morphism_from_json(doc)
+        return serial.morphism_from_json(_read_json(args.morphism))
     if args.space:
-        space = serial.circle_space_from_json(_read_json(args.space))
-        levels = pole_level_structure(space)
+        levels = pole_level_structure(serial.circle_space_from_json(_read_json(args.space)))
         k = args.level
         if k is None or not 1 <= k <= len(levels.stages):
             raise InputError(f"--level must be between 1 and {len(levels.stages)}")
@@ -111,41 +117,30 @@ def _load_morphism(args):
     raise InputError("provide --morphism FILE or --space FILE with --level K")
 
 
-def cmd_validate(args) -> int:
-    doc = _read_json(args.input)
-    if "spaces" in doc:
-        f = serial.functor_from_json(doc)
-        ok, why = validate_functor(f)
-        kind = "functor"
-    elif "fibers" in doc:
-        fib = serial.fibration_from_json(doc)
-        ok, why = validate_fibration(fib)
-        kind = "fibration"
-    else:
-        raise InputError("document is neither a fibration nor a functor")
+def cmd_validate(doc, args) -> int:
+    kind = _kind(doc, ("functor", "fibration"))
+    ok, why = _KINDS[kind].check(_load(doc, args.input, kind, check=False))
     _emit({"kind": kind, "valid": ok, "diagnostics": why}, args.output)
     _say(f"{kind}: {'valid' if ok else 'INVALID: ' + why}")
     return 0 if ok else 1
 
 
-def cmd_build_circle(args) -> int:
-    e = serial.exponential_from_json(_read_json(args.input))
-    space = build_circle_space(e)
+def cmd_build_circle(doc, args) -> int:
+    space = build_circle_space(serial.exponential_from_json(doc))
     _emit(serial.circle_space_to_json(space), args.output)
     _say(f"built circle with {len(space.points)} point strata" + (" (degenerate)" if space.degenerate else ""))
     return 0
 
 
-def cmd_kummer(args) -> int:
-    e = serial.exponential_from_json(_read_json(args.input))
-    out = kummer_pullback(e, args.d)
+def cmd_kummer(doc, args) -> int:
+    out = kummer_pullback(serial.exponential_from_json(doc), args.d)
     _emit(serial.exponential_to_json(out), args.output)
     _say(f"pulled back along the degree-{args.d} cover")
     return 0
 
 
-def cmd_directions(args) -> int:
-    e = serial.exponential_from_json(_read_json(args.input))
+def cmd_directions(doc, args) -> int:
+    e = serial.exponential_from_json(doc)
     names = e.names
     if len(names) != 2:
         raise InputError("directions expects exactly two named values")
@@ -162,17 +157,15 @@ def cmd_directions(args) -> int:
     return 0
 
 
-def cmd_is_stokes(args) -> int:
-    f = _load_functor(args.input)
-    ok, why = stokes_witness(f)
+def cmd_is_stokes(doc, args) -> int:
+    ok, why = stokes_witness(_load(doc, args.input))
     _emit({"stokes": ok, "witness": why}, args.output)
     _say("Stokes functor" if ok else f"not Stokes: {why}")
     return 0 if ok else 1
 
 
-def cmd_split(args) -> int:
-    f = _load_functor(args.input)
-    gs = split_global(f)
+def cmd_split(doc, args) -> int:
+    gs = split_global(_load(doc, args.input))
     if gs is None:
         _emit({"split": False, "witness": "natural-section system is infeasible"}, args.output)
         _say("NotSplit: the natural-section linear system is infeasible")
@@ -187,26 +180,17 @@ def cmd_split(args) -> int:
     return 0
 
 
-def cmd_grade(args) -> int:
-    f = _load_functor(args.input)
-    p = _load_morphism(args)
-    out = grade(p, f)
-    _emit(serial.functor_to_json(out), args.output)
-    _say("graded functor computed")
+def cmd_grade_or_induce(doc, args) -> int:
+    """grade or induce, as the command says: the functor is loaded before the morphism."""
+    f = _load(doc, args.input)
+    op = grade if args.command == "grade" else induce
+    _emit(serial.functor_to_json(op(_load_morphism(args), f)), args.output)
+    _say(f"{op.__name__}d functor computed")
     return 0
 
 
-def cmd_induce(args) -> int:
-    f = _load_functor(args.input)
-    p = _load_morphism(args)
-    out = induce(p, f)
-    _emit(serial.functor_to_json(out), args.output)
-    _say("induced functor computed")
-    return 0
-
-
-def cmd_disassemble(args) -> int:
-    f = _load_functor(args.input)
+def cmd_disassemble(doc, args) -> int:
+    f = _load(doc, args.input)
     p = _load_morphism(args)
     g, h, alpha = level_disassemble(p, f)
     payload = {
@@ -220,12 +204,12 @@ def cmd_disassemble(args) -> int:
     return 0
 
 
-def cmd_assemble(args) -> int:
-    doc = _read_json(args.input)
+def cmd_assemble(doc, args) -> int:
     p = serial.morphism_from_json(doc["morphism"]) if "morphism" in doc else _load_morphism(args)
-    g = _functor_from_doc(doc["g"], f"{args.input} (g)")
-    h = _functor_from_doc(doc["h"], f"{args.input} (h)")
-    alpha = {serial.parse_total_key(key): serial.matrix_from_json(m) for key, m in doc["alpha"].items()}
+    g, h = (_load(doc[k], f"{args.input} ({k})") for k in "gh")
+    alpha = {
+        serial.parse_total_key(k): serial.matrix_from_json(m) for k, m in serial.mapping_from_json(doc["alpha"]).items()
+    }
     try:
         out = level_assemble(p, g, h, alpha)
     except ArithmeticError as exc:
@@ -235,15 +219,13 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def cmd_ext(args) -> int:
-    doc = _read_json(args.input)
+def cmd_ext(doc, args) -> int:
     if "f" in doc and "g" in doc:
-        f = _functor_from_doc(doc["f"], f"{args.input} (f)")
-        g = _functor_from_doc(doc["g"], f"{args.input} (g)")
+        f, g = (_load(doc[k], f"{args.input} ({k})") for k in "fg")
         if f.fibration != g.fibration:
             raise InputError(f"{args.input}: f and g live on different fibrations")
     else:
-        f = g = _functor_from_doc(doc, args.input)
+        f = g = _load(doc, args.input)
     hc = hom_complex(f, g)
     dims = hc.cohomology_dims()
     _emit(
@@ -258,23 +240,19 @@ def cmd_ext(args) -> int:
     return 0
 
 
-def cmd_tangent_dims(args) -> int:
-    f = _load_functor(args.input)
-    dims = tangent_dims(f)
+def cmd_tangent_dims(doc, args) -> int:
+    dims = tangent_dims(_load(doc, args.input))
     payload = {"tangent_dims": {str(i - 1): d for i, d in enumerate(dims)}}
     _emit(payload, args.output)
     _say(f"tangent dimensions (from degree -1): {dims}")
     return 0
 
 
-def cmd_elementary(args) -> int:
-    doc = _read_json(args.input)
+def cmd_elementary(doc, args) -> int:
     if "arc" in doc:
-        space = serial.circle_space_from_json(doc["space"])
-        arc = serial.arc_from_json(doc["arc"])
-        ok = is_elementary_arc(space, arc)
+        ok = is_elementary_arc(serial.circle_space_from_json(doc["space"]), serial.arc_from_json(doc["arc"]))
     elif "pairs" in doc:
-        ok = _polyhedral_from_doc(doc)
+        ok = check_polyhedral_elementarity(serial.polyhedral_from_json(doc))
     else:
         raise InputError("expected {'space', 'arc'} or a polyhedral document")
     _emit({"elementary": ok}, args.output)
@@ -282,23 +260,8 @@ def cmd_elementary(args) -> int:
     return 0 if ok else 1
 
 
-def _polyhedral_from_doc(doc) -> bool:
-    from .geometry import AffineForm, build_polyhedral_space
-
-    forms = [
-        AffineForm.of([rat(str(c)) for c in serial.list_from_json(f["coeffs"])], rat(str(f["const"])))
-        for f in serial.list_from_json(doc["forms"])
-    ]
-    pair_data = {}
-    for key, v in doc["pairs"].items():
-        a, _, b = key.partition("|")
-        pair_data[(a, b)] = (serial.int_from_json(v["form"]), str(v["orient"]))
-    space = build_polyhedral_space(forms, [str(s) for s in serial.list_from_json(doc["strata"])], pair_data)
-    return check_polyhedral_elementarity(space)
-
-
-def cmd_cover(args) -> int:
-    space = serial.circle_space_from_json(_read_json(args.input))
+def cmd_cover(doc, args) -> int:
+    space = serial.circle_space_from_json(doc)
     arcs = elementary_cover(space)
     if arcs is None:
         _emit({"cover": None, "witness": "no single-level arc system; apply a level structure first"}, args.output)
@@ -309,9 +272,8 @@ def cmd_cover(args) -> int:
     return 0
 
 
-def cmd_collapse(args) -> int:
-    fib = _load_fibration(args.input)
-    out, corr, flat = collapse_refinement(fib)
+def cmd_collapse(doc, args) -> int:
+    out, corr, flat = collapse_refinement(_load(doc, args.input, "fibration"))
     _emit(
         {
             "fibration": serial.fibration_to_json(out),
@@ -324,25 +286,15 @@ def cmd_collapse(args) -> int:
     return 0
 
 
-def cmd_export_dot(args) -> int:
-    doc = _read_json(args.input)
-    if "spaces" in doc:
-        f = serial.functor_from_json(doc)
-        text = serial.fibration_to_dot(f.fibration, f)
-    elif "fibers" in doc:
-        fib = serial.fibration_from_json(doc)
-        text = serial.fibration_to_dot(fib)
-    elif "kind" in doc:
-        text = serial.base_to_dot(serial.base_from_json(doc))
-    else:
-        raise InputError("expected a functor, fibration or base document")
-    _emit(None, args.output, text=text)
+def cmd_export_dot(doc, args) -> int:
+    kind = _kind(doc)
+    _emit(None, args.output, text=_KINDS[kind].dot(_load(doc, args.input, kind, check=False)))
     _say("DOT export written")
     return 0
 
 
-def cmd_sections(args) -> int:
-    fib = _load_fibration(args.input)
+def cmd_sections(doc, args) -> int:
+    fib = _load(doc, args.input, "fibration")
     secs = cocartesian_sections(fib)
     payload = {"sections": [s.choice for s in secs]}
     if len(secs) >= 2:
@@ -388,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("directions", cmd_directions)
     add("is-stokes", cmd_is_stokes, multi=True)
     add("split", cmd_split, multi=True)
-    add("grade", cmd_grade, morphism=True)
-    add("induce", cmd_induce, morphism=True)
+    add("grade", cmd_grade_or_induce, morphism=True)
+    add("induce", cmd_grade_or_induce, morphism=True)
     add("disassemble", cmd_disassemble, morphism=True)
     add("assemble", cmd_assemble, morphism=True)
     add("ext", cmd_ext)
@@ -404,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_single(fn, args) -> int:
     try:
-        return fn(args)
+        return fn(_read_json(args.input), args)
     except InputError as exc:
         _say(f"input error: {exc}")
         return 2

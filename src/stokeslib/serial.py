@@ -9,13 +9,15 @@ emitters sort keys so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from .bases import BaseCategory, make_circle_base, make_poset_base
 from .directions import ExactAngle, StokesDirection
 from .exactmath import GaussianRational, Matrix, rat, rat_str
 from .fibrations import FibrationMorphism, StokesFibration
 from .functors import StokesFunctor, cover_arrow_id, lift_arrow_id
-from .geometry import Arc, CircleSpace, ExponentialData, IrregularValue, build_circle_space
+from .geometry import AffineForm, Arc, CircleSpace, ExponentialData, IrregularValue, PolyhedralSpace
+from .geometry import build_circle_space, build_polyhedral_space
 from .posets import FinPoset, MonotoneMap
 
 
@@ -23,28 +25,51 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# -- primitives --------------------------------------------------------------
+# -- typed readers -------------------------------------------------------------
+# Each reads one JSON value of the type it names and refuses any other: int()
+# would read 1.5 and true as 1, str() null as "None", and a string where an
+# array belongs would be read one character per item.
+
+
+def _typed(v, types, what):
+    if type(v) not in types:
+        raise ValueError(f"expected a JSON {what}, got {v!r}")
+    return v
 
 
 def int_from_json(v) -> int:
     """A size or index: a JSON integer, not a float, bool or string."""
-    if type(v) is not int:
-        raise ValueError(f"expected a JSON integer, got {v!r}")
-    return v
+    return _typed(v, (int,), "integer")
 
 
 def bool_from_json(v) -> bool:
     """A flag: JSON true or false, not a string or number read by truthiness."""
-    if type(v) is not bool:
-        raise ValueError(f"expected a JSON boolean, got {v!r}")
-    return v
+    return _typed(v, (bool,), "boolean")
 
 
 def list_from_json(v) -> list:
-    """An array: a JSON list, not a string, which would be read one character per item."""
-    if not isinstance(v, list):
-        raise ValueError(f"expected a JSON array, got {v!r}")
-    return v
+    """An array: a JSON list."""
+    return _typed(v, (list,), "array")
+
+
+def str_from_json(v) -> str:
+    """A name: a JSON string."""
+    return _typed(v, (str,), "string")
+
+
+def mapping_from_json(v, keys=None) -> dict:
+    """A JSON object; given ``keys``, one whose every key names one of them."""
+    d = _typed(v, (dict,), "object")
+    if keys is not None and not d.keys() <= set(keys):
+        raise ValueError(f"key {min(d.keys() - set(keys))!r} names nothing")
+    return d
+
+
+def rational_from_json(v) -> Fraction:
+    """A rational: a JSON string such as "3/4" or a JSON integer, never a float."""
+    if type(v) is str or type(v) is int:
+        return rat(v)
+    raise ValueError(f"expected a rational string or a JSON integer, got {v!r}")
 
 
 def gaussian_to_json(c: GaussianRational) -> dict:
@@ -52,7 +77,7 @@ def gaussian_to_json(c: GaussianRational) -> dict:
 
 
 def gaussian_from_json(d) -> GaussianRational:
-    return GaussianRational(rat(str(d["re"])), rat(str(d["im"])))
+    return GaussianRational(rational_from_json(d["re"]), rational_from_json(d["im"]))
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -60,7 +85,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(d) -> Matrix:
-    ent = tuple(rat(str(x)) for x in list_from_json(d["entries"]))
+    ent = tuple(map(rational_from_json, list_from_json(d["entries"])))
     return Matrix(int_from_json(d["rows"]), int_from_json(d["cols"]), ent)
 
 
@@ -80,7 +105,7 @@ def angle_to_json(a) -> dict:
 
 def angle_from_json(d):
     if d["kind"] == "exact":
-        return ExactAngle(rat(str(d["t"])))
+        return ExactAngle(rational_from_json(d["t"]))
     if d["kind"] == "direction":
         return direction_from_json(d)
     raise ValueError(f"angle kind must be 'exact' or 'direction', got {d['kind']!r}")
@@ -98,7 +123,7 @@ def poset_to_json(p: FinPoset) -> dict:
 
 
 def poset_from_json(d) -> FinPoset:
-    elems = [str(e) for e in list_from_json(d["elements"])]
+    elems = [str_from_json(e) for e in list_from_json(d["elements"])]
     leq = [list_from_json(row) for row in list_from_json(d["leq"])]
     n = len(elems)
     if len(leq) != n or any(len(row) != n for row in leq):
@@ -136,12 +161,15 @@ def fibration_from_json(d) -> StokesFibration:
     if d["base"]["kind"] == "circle" and len(d["fibers"]) != 2 * int_from_json(d["base"]["n"]):
         raise ValueError(f"a circle base of n = {d['base']['n']} points has 2n fibers, not {len(d['fibers'])}")
     base = base_from_json(d["base"])
-    fibers = {x: poset_from_json(d["fibers"][x]) for x in base.objects}
-    transitions = {}
-    for arr in base.arrows:
-        assignment = {str(k): str(v) for k, v in d["transitions"][arr.name].items()}
-        transitions[arr.name] = MonotoneMap(fibers[arr.source], fibers[arr.target], assignment)
+    fiber_docs = mapping_from_json(d["fibers"], base.objects)
+    fibers = {x: poset_from_json(fiber_docs[x]) for x in base.objects}
+    maps = mapping_from_json(d["transitions"], [a.name for a in base.arrows])
+    transitions = {a.name: _map_from_json(maps[a.name], fibers[a.source], fibers[a.target]) for a in base.arrows}
     return StokesFibration(base, fibers, transitions)
+
+
+def _map_from_json(d, source: FinPoset, target: FinPoset) -> MonotoneMap:
+    return MonotoneMap(source, target, {a: str_from_json(b) for a, b in mapping_from_json(d).items()})
 
 
 def morphism_to_json(p: FibrationMorphism) -> dict:
@@ -155,11 +183,9 @@ def morphism_to_json(p: FibrationMorphism) -> dict:
 def morphism_from_json(d) -> FibrationMorphism:
     src = fibration_from_json(d["source"])
     tgt = fibration_from_json(d["target"])
-    maps = {
-        x: MonotoneMap(src.fiber(x), tgt.fiber(x), {str(k): str(v) for k, v in d["maps"][x].items()})
-        for x in src.base.objects
-    }
-    return FibrationMorphism(src, tgt, maps)
+    maps = mapping_from_json(d["maps"], src.base.objects)
+    fiber_maps = {x: _map_from_json(maps[x], src.fiber(x), tgt.fiber(x)) for x in src.base.objects}
+    return FibrationMorphism(src, tgt, fiber_maps)
 
 
 # -- functors -------------------------------------------------------------------
@@ -190,8 +216,8 @@ def functor_to_json(f: StokesFunctor) -> dict:
 
 def functor_from_json(d) -> StokesFunctor:
     fib = fibration_from_json(d["fibration"])
-    spaces = {parse_total_key(k): int_from_json(v) for k, v in d["spaces"].items()}
-    arrows = {str(k): matrix_from_json(v) for k, v in d["arrows"].items()}
+    spaces = {parse_total_key(k): int_from_json(v) for k, v in mapping_from_json(d["spaces"]).items()}
+    arrows = {k: matrix_from_json(v) for k, v in mapping_from_json(d["arrows"]).items()}
     return StokesFunctor(fib, spaces, arrows)
 
 
@@ -203,7 +229,7 @@ def value_to_json(v: IrregularValue) -> list:
 
 
 def value_from_json(d) -> IrregularValue:
-    return IrregularValue(tuple((rat(str(t["q"])), gaussian_from_json(t["c"])) for t in d))
+    return IrregularValue(tuple((rational_from_json(t["q"]), gaussian_from_json(t["c"])) for t in list_from_json(d)))
 
 
 def exponential_to_json(e: ExponentialData) -> dict:
@@ -211,7 +237,7 @@ def exponential_to_json(e: ExponentialData) -> dict:
 
 
 def exponential_from_json(d) -> ExponentialData:
-    return ExponentialData({str(k): value_from_json(v) for k, v in d["values"].items()})
+    return ExponentialData({k: value_from_json(v) for k, v in mapping_from_json(d["values"]).items()})
 
 
 def circle_space_to_json(s: CircleSpace) -> dict:
@@ -243,9 +269,23 @@ def arc_to_json(a: Arc) -> dict:
 
 
 def arc_from_json(d) -> Arc:
-    if bool_from_json(d.get("full", False)):
+    if bool_from_json(mapping_from_json(d).get("full", False)):
         return Arc(None, None, full=True)
     return Arc(angle_from_json(d["start"]), angle_from_json(d["end"]))
+
+
+def polyhedral_from_json(d) -> PolyhedralSpace:
+    """The space of ``{"forms", "strata", "pairs"}``: affine forms, sign vectors,
+    and per pair "a|b" of values the index of its form and its orientation."""
+    forms = [
+        AffineForm(tuple(map(rational_from_json, list_from_json(f["coeffs"]))), rational_from_json(f["const"]))
+        for f in list_from_json(d["forms"])
+    ]
+    pairs = {}
+    for key, v in mapping_from_json(d["pairs"]).items():
+        a, _, b = key.partition("|")
+        pairs[(a, b)] = (int_from_json(v["form"]), str_from_json(v["orient"]))
+    return build_polyhedral_space(forms, [str_from_json(s) for s in list_from_json(d["strata"])], pairs)
 
 
 # -- DOT export --------------------------------------------------------------------

@@ -814,7 +814,8 @@ def test_cli_refuses_keys_that_name_nothing(tmp_path, space, capsys):
 
 def test_cli_refuses_strings_where_arrays_are_expected(tmp_path, space):
     """A JSON string where an array is expected would be read one character per
-    item, so "entries": "10" gave a 2x1 matrix; every such document is bad input."""
+    item, so "entries": "10" gave a 2x1 matrix, and a value's terms "" or {} gave
+    the zero value; every such document is bad input."""
     good = serial.functor_to_json(rank_one_one_functor(space))
     tall = next(aid for aid, m in good["arrows"].items() if (m["rows"], m["cols"]) == (2, 1))
     fibration = good["fibration"]
@@ -831,11 +832,15 @@ def test_cli_refuses_strings_where_arrays_are_expected(tmp_path, space):
         ("elementary", {**poly, "forms": [{"coeffs": "1", "const": "0"}]}),
         ("elementary", {**poly, "forms": {"coeffs": ["1"], "const": "0"}}),
     ]
+    b = [{"q": "1", "c": {"re": "1", "im": "0"}}]
+    for terms in ("", {}):
+        docs += [("directions", {"values": {"a": terms, "b": b}}), ("build-circle", {"values": {"a": terms, "b": b}})]
     p = tmp_path / "bad.json"
     for command, doc in docs:
         p.write_text(json.dumps(doc))
         assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
-    for command, doc in (("validate", good), ("validate", fibration), ("elementary", poly)):
+    for command, doc in (("validate", good), ("validate", fibration), ("elementary", poly),
+                         ("directions", {"values": {"a": [], "b": b}})):
         p.write_text(json.dumps(doc))
         assert run_cli(tmp_path, command, "--input", str(p)) == 0, command
     for v in ("ab", {"a": 1}, None, 3):
@@ -953,3 +958,133 @@ def test_a_circle_base_size_is_checked_before_the_base_is_built(tmp_path, space,
     for command, doc in (("validate", fibration), ("split", good)):
         p.write_text(json.dumps(doc))
         assert run_cli(tmp_path, command, "--input", str(p)) == 0
+
+
+def _named_circle(name):
+    """The two-value circle with its zero value named ``name``."""
+    from stokeslib import ExponentialData, GaussianRational, IrregularValue, build_circle_space
+
+    return build_circle_space(
+        ExponentialData({name: IrregularValue.zero(), "b": IrregularValue.of((1, GaussianRational.of(1)))})
+    )
+
+
+def test_names_must_be_json_strings(tmp_path):
+    """An element, a transition or map value, a polyhedral stratum and an
+    orientation are JSON strings: the element null once read as "None", so a
+    fibration named by null, 7 or true was valid and its functor Stokes."""
+    from stokeslib.fibrations import FibrationMorphism
+
+    p = tmp_path / "doc.json"
+    m_path = tmp_path / "m.json"
+    for bad, name in ((None, "None"), (7, "7"), (True, "True")):
+        space = _named_circle(name)
+        functor = serial.functor_to_json(rank_one_one_functor(space))
+        fibration = functor["fibration"]
+        fibers = fibration["fibers"]
+        renamed = {x: {**fp, "elements": [bad if e == name else e for e in fp["elements"]]} for x, fp in fibers.items()}
+        arrow = next(iter(fibration["transitions"]))
+        transition = {k: bad if v == name else v for k, v in fibration["transitions"][arrow].items()}
+        morphism = serial.morphism_to_json(FibrationMorphism.identity(space.fibration))
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps(functor))
+        for command, doc in (
+            ("validate", {**fibration, "fibers": {**fibers, "s0": renamed["s0"]}}),
+            ("is-stokes", {**functor, "fibration": {**fibration, "fibers": renamed}}),
+            ("validate", {**fibration, "transitions": {**fibration["transitions"], arrow: transition}}),
+        ):
+            p.write_text(json.dumps(doc))
+            assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, bad)
+        maps = {x: {k: bad if v == name else v for k, v in m.items()} for x, m in morphism["maps"].items()}
+        m_path.write_text(json.dumps({**morphism, "maps": maps}))
+        assert run_cli(tmp_path, "grade", "--input", str(f_path), "--morphism", str(m_path)) == 2, bad
+        m_path.write_text(json.dumps(morphism))
+        assert run_cli(tmp_path, "grade", "--input", str(f_path), "--morphism", str(m_path)) == 0, bad
+    poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"],
+            "pairs": {"a|b": {"form": 0, "orient": "+"}}}
+    for doc in ({**poly, "strata": ["-", 0, "+"]}, {**poly, "pairs": {"a|b": {"form": 0, "orient": None}}}):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, "elementary", "--input", str(p)) == 2, doc
+    for v in (None, 7, True, ["a"], {"a": "b"}):
+        with pytest.raises(ValueError):
+            serial.str_from_json(v)
+    assert serial.str_from_json("a") == "a"
+
+
+def test_rationals_are_json_strings_or_integers(tmp_path, space):
+    """A matrix entry, a pole order, a coefficient, an arc end and a form
+    coefficient that is a JSON float is bad input (exit 2); "3/4" and JSON
+    integers are read."""
+    good = serial.functor_to_json(rank_one_one_functor(space))
+    first = next(iter(good["arrows"]))
+    m = good["arrows"][first]
+
+    def entry(x):
+        return {**good, "arrows": {**good["arrows"], first: {**m, "entries": [x, *m["entries"][1:]]}}}
+
+    c = {"re": "1", "im": "0"}
+    circle = serial.circle_space_to_json(space)
+    arc = {"start": {"kind": "exact", "t": "1/4"}, "end": {"kind": "exact", "t": "3/4"}}
+    poly = {"forms": [{"coeffs": ["1"], "const": "0"}], "strata": ["-", "0", "+"],
+            "pairs": {"a|b": {"form": 0, "orient": "+"}}}
+    p = tmp_path / "doc.json"
+    for command, doc, code in (
+        ("is-stokes", entry(float(m["entries"][0])), 2),
+        ("build-circle", {"values": {"a": [], "b": [{"q": 1.0, "c": c}]}}, 2),
+        ("directions", {"values": {"a": [], "b": [{"q": "1", "c": {"re": 0.5, "im": "0"}}]}}, 2),
+        ("elementary", {"space": circle, "arc": {**arc, "start": {"kind": "exact", "t": 0.25}}}, 2),
+        ("elementary", {**poly, "forms": [{"coeffs": [1.5], "const": "0"}]}, 2),
+        ("elementary", {**poly, "forms": [{"coeffs": ["1"], "const": 0.5}]}, 2),
+        ("is-stokes", entry(int(m["entries"][0])), 0),
+        ("build-circle", {"values": {"a": [], "b": [{"q": 1, "c": {"re": 1, "im": 0}}]}}, 0),
+        ("build-circle", {"values": {"a": [], "b": [{"q": "2", "c": {"re": "3/4", "im": -1}}]}}, 0),
+        ("elementary", {**poly, "forms": [{"coeffs": [1], "const": "-3/4"}]}, 0),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == code, (command, doc)
+    for v in (1.5, 1.0, None, True, ["1"], "1/0", "x"):
+        with pytest.raises(ValueError):
+            serial.rational_from_json(v)
+    assert serial.rational_from_json("3/4") == Fraction(3, 4) and serial.rational_from_json(-2) == -2
+
+
+def test_keys_that_name_nothing_in_fibration_and_morphism_documents(tmp_path, space):
+    """A transition, fiber or map that names no base arrow or object is bad
+    input for every command, validate included: no fibration or morphism is
+    read from such a document."""
+    from helpers import diamond_base_functor
+
+    from stokeslib.fibrations import FibrationMorphism
+
+    fibration = serial.fibration_to_json(space.fibration)
+    arrow = next(iter(fibration["transitions"].values()))
+    functor = serial.functor_to_json(rank_one_one_functor(space))
+    diamond = serial.functor_to_json(diamond_base_functor())
+    poset_fib = diamond["fibration"]
+    extra_fiber = {**poset_fib, "fibers": {**poset_fib["fibers"], "nowhere": poset_fib["fibers"]["o"]}}
+    nowhere = {**fibration, "transitions": {**fibration["transitions"], "nowhere": arrow}}
+    p = tmp_path / "doc.json"
+    for commands, doc in (
+        (("validate", "sections", "collapse", "export-dot"), nowhere),
+        (("validate", "is-stokes", "split"), {**functor, "fibration": nowhere}),
+        (("validate", "sections", "export-dot"), extra_fiber),
+        (("validate", "is-stokes", "ext"), {**diamond, "fibration": extra_fiber}),
+    ):
+        p.write_text(json.dumps(doc))
+        for command in commands:
+            assert run_cli(tmp_path, command, "--input", str(p)) == 2, command
+    morphism = serial.morphism_to_json(FibrationMorphism.identity(space.fibration))
+    f_path, m_path = tmp_path / "f.json", tmp_path / "m.json"
+    f_path.write_text(json.dumps(functor))
+    m_path.write_text(json.dumps({**morphism, "maps": {**morphism["maps"], "nowhere": morphism["maps"]["s0"]}}))
+    for command in ("grade", "induce", "disassemble"):
+        assert run_cli(tmp_path, command, "--input", str(f_path), "--morphism", str(m_path)) == 2, command
+    for command, doc in (("validate", fibration), ("validate", poset_fib), ("validate", diamond)):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 0, command
+    with pytest.raises(ValueError):
+        serial.mapping_from_json({"a": 1, "b": 2}, keys=["a"])
+    for v in (None, [], "ab", 1):
+        with pytest.raises(ValueError):
+            serial.mapping_from_json(v)
+    assert serial.mapping_from_json({"a": 1}, keys=["a", "b"]) == {"a": 1}
