@@ -72,22 +72,26 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# a kind of document: the key that only its documents hold, its reader, its check and its DOT writer
 _Kind = namedtuple("_Kind", "key read check dot")
-_KINDS = {
-    "functor": _Kind(
-        "spaces", serial.functor_from_json, validate_functor, lambda f: serial.fibration_to_dot(f.fibration, f)
-    ),
-    "fibration": _Kind("fibers", serial.fibration_from_json, validate_fibration, serial.fibration_to_dot),
-    "base": _Kind("kind", serial.base_from_json, None, serial.base_to_dot),
-}
 
 
-def _kind(doc, kinds=tuple(_KINDS)) -> str:
+def _kinds() -> dict:
+    """Each kind of document: the key that only its documents hold, its reader, its check and its DOT
+    writer.  Built on each call, so that a function replaced on its module is the one called."""
+    return {
+        "functor": _Kind(
+            "spaces", serial.functor_from_json, validate_functor, lambda f: serial.fibration_to_dot(f.fibration, f)
+        ),
+        "fibration": _Kind("fibers", serial.fibration_from_json, validate_fibration, serial.fibration_to_dot),
+        "base": _Kind("kind", serial.base_from_json, None, serial.base_to_dot),
+    }
+
+
+def _kind(doc, kinds=("functor", "fibration", "base")) -> str:
     """The first of ``kinds`` whose key the document holds."""
     doc = serial.mapping_from_json(doc)
     for kind in kinds:
-        if _KINDS[kind].key in doc:
+        if _kinds()[kind].key in doc:
             return kind
     raise InputError(f"expected a {' or '.join(kinds)} document")
 
@@ -96,10 +100,10 @@ def _load(doc, where: str, kind: str = "functor", check: bool = True):
     """The ``kind`` that ``doc`` holds, read and, with ``check``, validated;
     each InputError names ``where``, the document's location."""
     try:
-        value = _KINDS[kind].read(doc)
+        value = _kinds()[kind].read(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{where}: not a {kind} document ({exc})") from exc
-    ok, why = _KINDS[kind].check(value) if check else (True, "ok")
+    ok, why = _kinds()[kind].check(value) if check else (True, "ok")
     if not ok:
         raise InputError(f"{where}: invalid {kind}: {why}")
     return value
@@ -119,7 +123,7 @@ def _load_morphism(args):
 
 def cmd_validate(doc, args) -> int:
     kind = _kind(doc, ("functor", "fibration"))
-    ok, why = _KINDS[kind].check(_load(doc, args.input, kind, check=False))
+    ok, why = _kinds()[kind].check(_load(doc, args.input, kind, check=False))
     _emit({"kind": kind, "valid": ok, "diagnostics": why}, args.output)
     _say(f"{kind}: {'valid' if ok else 'INVALID: ' + why}")
     return 0 if ok else 1
@@ -288,7 +292,7 @@ def cmd_collapse(doc, args) -> int:
 
 def cmd_export_dot(doc, args) -> int:
     kind = _kind(doc)
-    _emit(None, args.output, text=_KINDS[kind].dot(_load(doc, args.input, kind, check=False)))
+    _emit(None, args.output, text=_kinds()[kind].dot(_load(doc, args.input, kind, check=False)))
     _say("DOT export written")
     return 0
 

@@ -120,7 +120,8 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        one, zero = Fraction(1), Fraction(0)
+        return Matrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -159,13 +160,7 @@ class Matrix:
         return all(a == 0 for a in self.entries)
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        ent = []
-        for i in range(self.rows):
-            ent.extend(self.row(i))
-            ent.extend(other.row(i))
-        return Matrix(self.rows, self.cols + other.cols, tuple(ent))
+        return hstack_all([self, other], self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         ent = tuple(self.at(i, j) for i in row_idx for j in col_idx)
@@ -177,24 +172,19 @@ class Matrix:
 
 
 def hstack_all(mats: Sequence[Matrix], rows: int) -> Matrix:
-    out = Matrix.zeros(rows, 0)
-    for m in mats:
-        out = out.hstack(m)
-    return out
+    """The matrices of ``rows`` rows side by side, in one pass."""
+    if any(m.rows != rows for m in mats):
+        raise ValueError("row mismatch")
+    return Matrix(rows, sum(m.cols for m in mats), tuple(x for i in range(rows) for m in mats for x in m.row(i)))
 
 
 def block_diag(mats: Sequence[Matrix]) -> Matrix:
-    rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    ent, c0 = (), 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m.at(i, j)
-        r0 += m.rows
+        ent += hstack_all([Matrix.zeros(m.rows, c0), m, Matrix.zeros(m.rows, cols - c0 - m.cols)], m.rows).entries
         c0 += m.cols
-    return Matrix.from_rows(out) if rows else Matrix(0, cols, ())
+    return Matrix(sum(m.rows for m in mats), cols, ent)
 
 
 def _integer_line(vals: Collection) -> tuple[list[int], int]:

@@ -53,7 +53,7 @@ def validate_fibration(i: StokesFibration) -> tuple[bool, str]:
             t = i.transition(f"{u}<{v}")
             return t.assignment if m is None else {a: t(c) for a, c in m.items()}
 
-        bad = i.base.poset.first_path_conflict(step)
+        _, bad = i.base.poset.path_composites(step)
         if bad is not None:
             return False, f"path independence fails between {bad[0]} and {bad[1]}"
     return True, "ok"

@@ -9,7 +9,8 @@ coordinates, realize the level-induction pullback square, solve global
 splitting as one exact linear system, and compute Ext from Hom(P, G) for a
 minimal projective resolution P of F over the total category: the complex
 that ``hom_complex`` returns and the CLI prints, padded with zero terms to
-the length of the nerve complex.
+the length of the nerve complex.  Composites F(a <= b) in a fiber are read
+off one table per call, built by one walk up the fiber (``_fiber_walk``).
 """
 
 from __future__ import annotations
@@ -138,10 +139,9 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
     if unknown:
         return False, f"unknown {unknown[0]}"
     # fiber functoriality: all cover paths between comparable pairs agree
+    tables = {}
     for x in fib.base.objects:
-        bad = fib.fiber(x).first_path_conflict(
-            lambda u, v, m: f.cover_matrix(x, u, v) if m is None else f.cover_matrix(x, u, v) @ m
-        )
+        tables[x], bad = _fiber_walk(f, x)
         if bad is not None:
             return False, f"fiber functoriality fails between {bad[0]} and {bad[1]} at {x}"
     # naturality of cocartesian lifts against fiber covers
@@ -149,7 +149,9 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
         t = fib.transition(arr.name)
         for a, b in fib.fiber(arr.source).covers():
             left = f.lift_matrix(arr.name, b) @ f.cover_matrix(arr.source, a, b)
-            right = f.fiber_matrix(arr.target, t(a), t(b)) @ f.lift_matrix(arr.name, a)
+            right = f.lift_matrix(arr.name, a)
+            if t(a) != t(b):
+                right = tables[arr.target][t(a), t(b)] @ right
             if left != right:
                 return False, f"lift naturality fails for {arr.name} at cover {a}<{b}"
     # base-level path independence for poset bases: per fiber element a of
@@ -163,7 +165,7 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
                 return {a: (f.lift_matrix(g, a), t(a)) for a in fib.fiber(u).elements}
             return {a: (f.lift_matrix(g, c) @ lm, t(c)) for a, (lm, c) in m.items()}
 
-        bad = fib.base.poset.first_path_conflict(step)
+        _, bad = fib.base.poset.path_composites(step)
         if bad is not None:
             x, y, m, m2 = bad
             a = next(a for a in m if m[a] != m2[a])
@@ -195,11 +197,18 @@ class Splitting:
         return [b for b in self.order if le(b, a)]
 
 
-def _comparison(f: StokesFunctor, y: str, a: str, parts) -> Matrix:
-    """The canonical map into F(y, a) out of the ordered sum of the blocks m
-    of ``parts`` = [(c, m)], c <= a, each sent on through F(c <= a): theta,
-    the specialization matrices and the iso of a global splitting."""
-    return hstack_all([f.fiber_matrix(y, c, a) @ m for c, m in parts], f.dim(y, a))
+def _fiber_walk(f: StokesFunctor, x: str) -> tuple[dict, tuple | None]:
+    """One walk up the fiber at x: the table of F(a <= b) over all a < b, and the first conflict."""
+    return f.fibration.fiber(x).path_composites(
+        lambda u, v, m: f.cover_matrix(x, u, v) if m is None else f.cover_matrix(x, u, v) @ m
+    )
+
+
+def _comparison(table: dict, a: str, parts, rows: int) -> Matrix:
+    """The canonical map into F(a), of ``rows`` rows, out of the ordered sum of the
+    blocks m of ``parts`` = [(c, m)], c <= a, each sent on through F(c <= a) =
+    ``table[c, a]``: the specialization matrices and the iso of a global splitting."""
+    return hstack_all([m if c == a else table[c, a] @ m for c, m in parts], rows)
 
 
 def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
@@ -214,20 +223,24 @@ def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
     order = fib.linear_extension()
     covers = fib.covers()
     dims = {}
+    idx = {}
     sections = {}
     for b in order:
         d_b = f.dim(x, b)
         # on a functor every F(c <= b), c < b, factors through a cover into b
-        idx = column_space_complement(hstack_all([f.cover_matrix(x, u, v) for u, v in covers if v == b], d_b))
-        dims[b] = len(idx)
-        sections[b] = Matrix.identity(d_b).submatrix(range(d_b), idx)
+        idx[b] = column_space_complement(hstack_all([f.cover_matrix(x, u, v) for u, v in covers if v == b], d_b))
+        dims[b] = len(idx[b])
+        sections[b] = Matrix.identity(d_b).submatrix(range(d_b), idx[b])
     for a in fib.elements:
         if f.dim(x, a) != sum(dims[b] for b in fib.elements if fib.le(b, a)):
             return None
+    table, _ = _fiber_walk(f, x)
     theta = {}
     theta_inv = {}
     for a in fib.elements:
-        th = _comparison(f, x, a, [(b, sections[b]) for b in order if fib.le(b, a)])
+        # F(b <= a) . section_b picks the columns idx[b] of F(b <= a); every b < a comes before a in order
+        blocks = [table[b, a].submatrix(range(f.dim(x, a)), idx[b]) for b in order if fib.lt(b, a)]
+        th = hstack_all(blocks + [sections[a]], f.dim(x, a))
         try:
             theta_inv[a] = inverse(th)
         except ValueError:
@@ -265,9 +278,10 @@ def specialization_matrix(f: StokesFunctor, base_arrow: str, s: Splitting) -> di
         raise ValueError("splitting is not at the source of the arrow")
     t = f.fibration.transition(base_arrow)
     target_fiber = f.fibration.fiber(arr.target)
+    table, _ = _fiber_walk(f, arr.target)
     lifted = [(t(b), f.lift_matrix(base_arrow, b) @ s.sections[b]) for b in s.order]
     return {
-        a: _comparison(f, arr.target, a, [(c, m) for c, m in lifted if target_fiber.le(c, a)])
+        a: _comparison(table, a, [(c, m) for c, m in lifted if target_fiber.le(c, a)], f.dim(arr.target, a))
         for a in target_fiber.elements
     }
 
@@ -638,8 +652,9 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     for x in fib.base.objects:
         fibx = fib.fiber(x)
         s = splittings[x]
+        table, _ = _fiber_walk(f, x)
         for a in fibx.elements:
-            th = _comparison(f, x, a, [(b, sigmas[(x, b)]) for b in s.blocks(fibx.le, a)])
+            th = _comparison(table, a, [(b, sigmas[(x, b)]) for b in s.blocks(fibx.le, a)], f.dim(x, a))
             if not is_invertible(th):
                 raise ArithmeticError("feasible section produced a singular comparison")
             iso[(x, a)] = th

@@ -58,13 +58,13 @@ class FinPoset:
         return a in self.elements
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse edges, in element order."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.lt(a, b) and not any(self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    out.append((a, b))
-        return out
+        """Hasse edges, in element order: found once per poset, a new list on every call."""
+        if "_covers" not in self.__dict__:
+            up = {a: [b for b in self.elements if a != b and (a, b) in self.leq] for a in self.elements}
+            # b covers a when no other element above a lies below b
+            out = ((a, b) for a in self.elements for b in up[a] if all(c == b or (c, b) not in self.leq for c in up[a]))
+            object.__setattr__(self, "_covers", tuple(out))
+        return list(self._covers)
 
     def cover_path(self, a: str, b: str) -> list[tuple[str, str]]:
         """The covers of one chain from a up to b, bottom first, each the first
@@ -93,30 +93,32 @@ class FinPoset:
                 raise ValueError("relation has a cycle; not a poset")
         return tuple(out)
 
-    def first_path_conflict(self, step):
-        """The first (a, b, m, m2) where two cover paths from a to b compose to m != m2.
+    def path_composites(self, step) -> tuple[dict, tuple | None]:
+        """({(a, b): composite} over a < b, conflict): the conflict is the first
+        (a, b, m, m2) where two cover paths from a to b compose to m != m2,
+        where the walk stops, or None.
 
         From each start a, in element order, walks up a linear extension:
         ``step(u, v, m)`` extends the composite m from a to u by the cover
         u < v, and m is None for the identity at a.  Once the composites
         below b agree, every path into b agrees iff every cover into b gives
         the same composite, so one pass per start decides all pairs.
-        Returns None when all cover paths agree.
         """
         order = self.linear_extension()
         below = {b: [] for b in order}
         for u, v in self.covers():
             below[v].append(u)
+        table = {}
         for a in self.elements:
             composite = {a: None}
             for b in order[order.index(a) + 1 :]:
                 ms = [step(u, b, composite[u]) for u in below[b] if u in composite]
                 for m in ms[1:]:
                     if m != ms[0]:
-                        return a, b, ms[0], m
+                        return table, (a, b, ms[0], m)
                 if ms:
-                    composite[b] = ms[0]
-        return None
+                    composite[b] = table[a, b] = ms[0]
+        return table, None
 
     def height(self) -> int:
         """Length of a longest strictly increasing chain, counted in steps."""

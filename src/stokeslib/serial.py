@@ -60,8 +60,8 @@ def str_from_json(v) -> str:
 def mapping_from_json(v, keys=None) -> dict:
     """A JSON object; given ``keys``, one whose every key names one of them."""
     d = _typed(v, (dict,), "object")
-    if keys is not None and not d.keys() <= set(keys):
-        raise ValueError(f"key {min(d.keys() - set(keys))!r} names nothing")
+    if keys is not None and not d.keys() <= frozenset(keys):
+        raise ValueError(f"key {min(d.keys() - frozenset(keys))!r} names nothing")
     return d
 
 
@@ -72,11 +72,23 @@ def rational_from_json(v) -> Fraction:
     raise ValueError(f"expected a rational string or a JSON integer, got {v!r}")
 
 
+# the fields of each fixed-shape object; a field it does not have is refused
+_GAUSSIAN_KEYS = frozenset({"re", "im"})
+_MATRIX_KEYS = frozenset({"rows", "cols", "entries"})
+_ARC_KEYS = frozenset({"full", "start", "end"})
+_FULL_ARC_KEYS = frozenset({"full"})
+_EXACT_KEYS = frozenset({"kind", "t"})
+_DIRECTION_KEYS = frozenset({"kind", "c", "m", "k"})
+_CIRCLE_KEYS = frozenset({"kind", "n"})
+_POSET_BASE_KEYS = frozenset({"kind", "poset"})
+
+
 def gaussian_to_json(c: GaussianRational) -> dict:
     return {"re": rat_str(c.re), "im": rat_str(c.im)}
 
 
 def gaussian_from_json(d) -> GaussianRational:
+    d = mapping_from_json(d, _GAUSSIAN_KEYS)
     return GaussianRational(rational_from_json(d["re"]), rational_from_json(d["im"]))
 
 
@@ -84,8 +96,9 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [rat_str(x) for x in m.entries]}
 
 
-def matrix_from_json(d) -> Matrix:
-    ent = tuple(map(rational_from_json, list_from_json(d["entries"])))
+def matrix_from_json(d, entry=rational_from_json) -> Matrix:
+    d = mapping_from_json(d, _MATRIX_KEYS)
+    ent = tuple(map(entry, list_from_json(d["entries"])))
     return Matrix(int_from_json(d["rows"]), int_from_json(d["cols"]), ent)
 
 
@@ -105,9 +118,9 @@ def angle_to_json(a) -> dict:
 
 def angle_from_json(d):
     if d["kind"] == "exact":
-        return ExactAngle(rational_from_json(d["t"]))
+        return ExactAngle(rational_from_json(mapping_from_json(d, _EXACT_KEYS)["t"]))
     if d["kind"] == "direction":
-        return direction_from_json(d)
+        return direction_from_json(mapping_from_json(d, _DIRECTION_KEYS))
     raise ValueError(f"angle kind must be 'exact' or 'direction', got {d['kind']!r}")
 
 
@@ -143,9 +156,9 @@ def base_to_json(b: BaseCategory) -> dict:
 
 def base_from_json(d) -> BaseCategory:
     if d["kind"] == "circle":
-        return make_circle_base(int_from_json(d["n"]))
+        return make_circle_base(int_from_json(mapping_from_json(d, _CIRCLE_KEYS)["n"]))
     if d["kind"] == "poset":
-        return make_poset_base(poset_from_json(d["poset"]))
+        return make_poset_base(poset_from_json(mapping_from_json(d, _POSET_BASE_KEYS)["poset"]))
     raise ValueError(f"base kind must be 'circle' or 'poset', got {d['kind']!r}")
 
 
@@ -217,7 +230,12 @@ def functor_to_json(f: StokesFunctor) -> dict:
 def functor_from_json(d) -> StokesFunctor:
     fib = fibration_from_json(d["fibration"])
     spaces = {parse_total_key(k): int_from_json(v) for k, v in mapping_from_json(d["spaces"]).items()}
-    arrows = {k: matrix_from_json(v) for k, v in mapping_from_json(d["arrows"]).items()}
+    parsed: dict = {}  # each distinct entry read once per document; true or 1.0 is refused before it is kept
+
+    def entry(v) -> Fraction:
+        return parsed[v] if type(v) in (str, int) and v in parsed else parsed.setdefault(v, rational_from_json(v))
+
+    arrows = {k: matrix_from_json(v, entry) for k, v in mapping_from_json(d["arrows"]).items()}
     return StokesFunctor(fib, spaces, arrows)
 
 
@@ -269,7 +287,8 @@ def arc_to_json(a: Arc) -> dict:
 
 
 def arc_from_json(d) -> Arc:
-    if bool_from_json(mapping_from_json(d).get("full", False)):
+    if bool_from_json(mapping_from_json(d, _ARC_KEYS).get("full", False)):
+        mapping_from_json(d, _FULL_ARC_KEYS)
         return Arc(None, None, full=True)
     return Arc(angle_from_json(d["start"]), angle_from_json(d["end"]))
 

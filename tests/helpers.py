@@ -271,6 +271,23 @@ def oracle_split_sections(f: StokesFunctor, x: str):
     return dims, sections
 
 
+def oracle_split_fiber(f: StokesFunctor, x: str):
+    """(sections, theta, theta_inv) at x, built as split_fiber built them before
+    it read a table of composites: theta[a] is the comparison out of the tops
+    below a, in linear-extension order, each F(b <= a) . section_b a product with
+    the composite of one cover chain (``fiber_matrix``)."""
+    from stokeslib import inverse
+
+    fib = f.fibration.fiber(x)
+    _, sections = oracle_split_sections(f, x)
+    order = fib.linear_extension()
+    theta = {
+        a: hstack_all([f.fiber_matrix(x, b, a) @ sections[b] for b in order if fib.le(b, a)], f.dim(x, a))
+        for a in fib.elements
+    }
+    return sections, theta, {a: inverse(m) for a, m in theta.items()}
+
+
 def _transpose(cols, nrows):
     return [[col[i] for col in cols] for i in range(nrows)]
 

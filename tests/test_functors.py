@@ -484,3 +484,69 @@ def test_split_fiber_radical_from_covers_matches_every_composite(p, dims, seed, 
     assert (s is None) == (want is None)
     if s is not None:
         assert (s.dims, s.sections) == want
+
+
+def _diamond_base_fibration() -> StokesFibration:
+    """The diamond o < l, r < t as the base, every fiber a < c > b < d."""
+    base = make_poset_base(FinPoset.from_relation("olrt", [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]))
+    fiber = FinPoset.from_relation("abcd", [("a", "c"), ("b", "c"), ("b", "d")])
+    ident = MonotoneMap.identity(fiber)
+    return StokesFibration(base, {x: fiber for x in base.objects}, {arr.name: ident for arr in base.arrows})
+
+
+def test_fiber_tables_agree_with_cover_chains_and_the_old_splitting():
+    """Random standard functors on the three- and four-value circles (ranks at
+    most 2, conjugated or not) and on the diamond poset base: the table of one
+    walk up each fiber is the composite of one cover chain at every pair a < b,
+    and split_fiber gives the sections, theta and theta_inv of the comparison
+    built from those composites."""
+    from stokeslib.functors import _fiber_walk
+
+    from helpers import four_value_circle, oracle_split_fiber, three_value_circle
+
+    rng = random.Random(19)
+    cases = []
+    for fib in (three_value_circle().fibration, four_value_circle().fibration, _diamond_base_fibration()):
+        names = next(iter(fib.fibers.values())).elements
+        for trial in range(4):
+            dims = {n: rng.randint(1, 2) if trial < 2 else rng.randint(0, 2) for n in names}
+            cases.append(random_standard_functor(fib, dims, rng, conjugate=trial % 2 == 1))
+    for f in cases:
+        assert validate_functor(f) == (True, "ok")
+        for x in f.fibration.base.objects:
+            fib = f.fibration.fiber(x)
+            table, bad = _fiber_walk(f, x)
+            assert bad is None
+            assert table == {(a, b): f.fiber_matrix(x, a, b) for a, b in fib.leq if a != b}
+            s = split_fiber(f, x)
+            assert (s.sections, s.theta, s.theta_inv) == oracle_split_fiber(f, x)
+
+
+def test_validate_functor_messages_read_off_the_tables():
+    """The witnesses of a diamond fiber whose two sides compose to 1 and 2, and
+    of a lift that is not natural against a composite of two covers, are
+    those that the cover-chain composites gave."""
+    from helpers import diamond_base_functor
+
+    diamond = FinPoset.from_relation("olrt", [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
+    sides = {("r", "t"): 2}  # the r-side composes to 2, the l-side to 1
+    arrows = {cover_arrow_id("x", a, b): Matrix.from_rows([[sides.get((a, b), 1)]]) for a, b in diamond.covers()}
+    f = StokesFunctor(point_fibration(diamond), {("x", e): 1 for e in diamond.elements}, arrows)
+    assert validate_functor(f) == (False, "fiber functoriality fails between o and t at x")
+    f = diamond_base_functor()
+    arrows = {**f.arrows, lift_arrow_id("o<l", "v"): Matrix.from_rows([[0, 1], [1, 0]])}
+    assert validate_functor(StokesFunctor(f.fibration, f.spaces, arrows)) == (
+        False,
+        "lift naturality fails for o<l at cover u<v",
+    )
+    # a lift from the chain a < b onto u < v < w sends a to u and b to w: F(u <= w) is two covers
+    base = make_poset_base(FinPoset.chain(["x", "y"]))
+    stretch = MonotoneMap(FinPoset.chain("ab"), FinPoset.chain("uvw"), {"a": "u", "b": "w"})
+    fib = StokesFibration(base, {"x": stretch.source, "y": stretch.target}, {"x<y": stretch})
+    one = Matrix.from_rows([[1]])
+    arrows = {cover_arrow_id("x", "a", "b"): one, cover_arrow_id("y", "u", "v"): one}
+    arrows.update({cover_arrow_id("y", "v", "w"): one, lift_arrow_id("x<y", "a"): one, lift_arrow_id("x<y", "b"): one})
+    spaces = {(x, e): 1 for x in "xy" for e in fib.fiber(x).elements}
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (True, "ok")
+    arrows[cover_arrow_id("y", "v", "w")] = Matrix.from_rows([[2]])
+    assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (False, "lift naturality fails for x<y at cover a<b")

@@ -49,6 +49,34 @@ def test_cover_path_walks_one_chain_up_and_refuses_other_pairs():
             diamond.cover_path(a, b)
 
 
+def test_covers_are_a_new_list_on_every_call():
+    diamond = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
+    first = diamond.covers()
+    first.append(("t", "o"))
+    first.remove(("o", "l"))
+    assert diamond.covers() == [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")]
+    assert diamond == FinPoset.from_relation(diamond.elements, diamond.leq)
+
+
+def test_path_composites_table_and_first_conflict():
+    """One walk gives the composite of every pair a < b along the first cover
+    into b, and stops at the first pair whose cover paths disagree."""
+    diamond = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
+
+    def ends(u, v, m):
+        return (u, v) if m is None else (m[0], v)
+
+    def path(u, v, m):
+        return (u, v) if m is None else m + (v,)
+
+    table, bad = diamond.path_composites(ends)
+    assert bad is None
+    assert table == {pair: pair for pair in diamond.leq if pair[0] != pair[1]}
+    table, bad = diamond.path_composites(path)
+    assert bad == ("o", "t", ("o", "l", "t"), ("o", "r", "t"))
+    assert table == {("o", "l"): ("o", "l"), ("o", "r"): ("o", "r")}
+
+
 def test_down_sets():
     chain = FinPoset.chain(["a", "b", "c"])
     assert down_set(chain, "c") == {"a", "b", "c"}

@@ -1088,3 +1088,72 @@ def test_keys_that_name_nothing_in_fibration_and_morphism_documents(tmp_path, sp
         with pytest.raises(ValueError):
             serial.mapping_from_json(v)
     assert serial.mapping_from_json({"a": 1}, keys=["a", "b"]) == {"a": 1}
+
+
+def test_cli_calls_the_reader_and_check_bound_on_their_modules(tmp_path, space, monkeypatch):
+    """The CLI looks its functor reader and check up when it calls them, so a
+    function replaced on its module (as a tracer does) is the one called."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(serial, "functor_from_json", counting(serial.functor_from_json))
+    monkeypatch.setattr(cli, "validate_functor", counting(cli.validate_functor))
+    p = tmp_path / "f.json"
+    p.write_text(serial.dumps(serial.functor_to_json(rank_one_one_functor(space))))
+    assert run_cli(tmp_path, "is-stokes", "--input", str(p)) == 0
+    assert calls == ["functor_from_json", "validate_functor"]
+
+
+def test_fixed_shape_objects_refuse_fields_they_do_not_have(tmp_path, space):
+    """A matrix is {rows, cols, entries}, a Gaussian rational {re, im}, an arc
+    {full} or {start, end}, an angle and a base the fields of their kind: a
+    misspelt field such as "rows~", "im~" or an arc's "ful" was read as absent."""
+    functor = serial.functor_to_json(rank_one_one_functor(space))
+    aid = next(iter(functor["arrows"]))
+    matrix = functor["arrows"][aid]
+    circle = serial.circle_space_to_json(space)
+    start, end = {"kind": "exact", "t": "1/4"}, {"kind": "exact", "t": "3/4"}
+    values = {"values": {"a": [], "b": [{"q": "1", "c": {"re": "1", "im": "0"}}]}}
+    fibration = serial.fibration_to_json(space.fibration)
+    p = tmp_path / "doc.json"
+    for command, doc in (
+        ("is-stokes", {**functor, "arrows": {**functor["arrows"], aid: {**matrix, "rows~": matrix["rows"]}}}),
+        ("build-circle", {"values": {"a": [], "b": [{"q": "1", "c": {"re": "1", "im": "0", "im~": "0"}}]}}),
+        ("elementary", {"space": circle, "arc": {"start": start, "end": end, "ful": True}}),
+        ("elementary", {"space": circle, "arc": {"full": True, "start": start}}),
+        ("elementary", {"space": circle, "arc": {"start": {**start, "t~": "1/2"}, "end": end}}),
+        ("validate", {**fibration, "base": {**fibration["base"], "n~": 3}}),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == 2, (command, doc)
+    for command, doc, code in (
+        ("is-stokes", functor, 0),
+        ("build-circle", values, 0),
+        ("elementary", {"space": circle, "arc": {"start": start, "end": end}}, 0),
+        ("validate", fibration, 0),
+    ):
+        p.write_text(json.dumps(doc))
+        assert run_cli(tmp_path, command, "--input", str(p)) == code, (command, doc)
+
+
+def test_functor_entries_are_read_once_and_strictly(space):
+    """Equal entries of one document share one parsed rational, and true, 1.0
+    and "1/0" are refused even after the entry 1 has been read."""
+    doc = serial.functor_to_json(rank_one_one_functor(space))
+    aid = next(a for a, m in doc["arrows"].items() if m["rows"] * m["cols"] >= 2)
+    m = doc["arrows"][aid]
+
+    def with_entries(first, second) -> dict:
+        return {**doc, "arrows": {**doc["arrows"], aid: {**m, "entries": [first, second] + m["entries"][2:]}}}
+
+    f = serial.functor_from_json(with_entries(1, "1"))
+    assert f.arrows[aid].entries[:2] == (1, 1)
+    for bad in (True, 1.0, "1/0", None, [1]):
+        with pytest.raises(ValueError):
+            serial.functor_from_json(with_entries(1, bad))
