@@ -39,6 +39,7 @@ from .posets import (
 from .bases import (
     BaseCategory,
     BaseFunctor,
+    base_arrow_id,
     circle_cover_functor,
     make_circle_base,
     make_poset_base,

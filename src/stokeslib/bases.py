@@ -55,11 +55,15 @@ def make_circle_base(n: int) -> BaseCategory:
     return BaseCategory("circle", objects, tuple(arrows), None, n)
 
 
+def base_arrow_id(a: str, b: str) -> str:
+    return f"{a}<{b}"
+
+
 def make_poset_base(p: FinPoset) -> BaseCategory:
     ok, why = validate_poset(p)
     if not ok:
         raise ValueError(f"invalid poset: {why}")
-    arrows = tuple(BaseArrow(f"{a}<{b}", a, b) for a, b in p.covers())
+    arrows = tuple(BaseArrow(base_arrow_id(a, b), a, b) for a, b in p.covers())
     if len({arr.name for arr in arrows}) < len(arrows):
         raise ValueError("two covers get one arrow name 'a<b'; element names with '<' make it ambiguous")
     return BaseCategory("poset", tuple(p.elements), arrows, p, 0)
@@ -129,6 +133,6 @@ def sub_interval_functor(base: BaseCategory, first_point: int, num_points: int) 
         objs[f"q{j}"] = f"p{i}"
         objs[f"t{j}"] = f"s{(i - 1) % base.n}"
         objs[f"t{j + 1}"] = f"s{i}"
-        arrs[f"q{j}<t{j}"] = f"p{i}-"
-        arrs[f"q{j}<t{j + 1}"] = f"p{i}+"
+        arrs[base_arrow_id(f"q{j}", f"t{j}")] = f"p{i}-"
+        arrs[base_arrow_id(f"q{j}", f"t{j + 1}")] = f"p{i}+"
     return BaseFunctor(src, base, objs, arrs)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bases import BaseCategory, BaseFunctor, make_circle_base
+from .bases import BaseCategory, BaseFunctor, base_arrow_id, make_circle_base
 from .posets import FinPoset, MonotoneMap, graded_poset, is_level_morphism, underlying_set, validate_poset
 
 
@@ -22,13 +22,15 @@ class StokesFibration:
     def transition(self, arrow_name: str) -> MonotoneMap:
         return self.transitions[arrow_name]
 
-    def transition_along(self, x: str, arrows) -> MonotoneMap:
-        """The composite transition out of the fiber at x along the named
-        base arrows, applied left to right."""
-        out = MonotoneMap.identity(self.fiber(x))
-        for g in arrows:
-            out = self.transition(g).compose_after(out)
-        return out
+
+def _transition_walk(i: StokesFibration) -> tuple[dict, tuple | None]:
+    """The walk up a poset base: each x < y to its composite transition's dict, and the first conflict."""
+
+    def step(u, v, m):
+        t = i.transition(base_arrow_id(u, v))
+        return t.assignment if m is None else {a: t(c) for a, c in m.items()}
+
+    return i.base.poset.path_composites(step)
 
 
 def validate_fibration(i: StokesFibration) -> tuple[bool, str]:
@@ -48,12 +50,7 @@ def validate_fibration(i: StokesFibration) -> tuple[bool, str]:
         if not t.is_valid():
             return False, f"transition {a.name} is not monotone"
     if i.base.kind == "poset":
-
-        def step(u, v, m):
-            t = i.transition(f"{u}<{v}")
-            return t.assignment if m is None else {a: t(c) for a, c in m.items()}
-
-        _, bad = i.base.poset.path_composites(step)
+        _, bad = _transition_walk(i)
         if bad is not None:
             return False, f"path independence fails between {bad[0]} and {bad[1]}"
     return True, "ok"
@@ -282,18 +279,20 @@ class TotalCategory:
         f_gamma(a) <= c; a in source-fiber order, c in target-fiber order."""
         base = fib.base
         objects = [(x, a) for x in base.objects for a in fib.fiber(x).elements]
-        homs = [(x, x, None, []) for x in base.objects]
+        homs = [(x, x, None, {a: a for a in fib.fiber(x).elements}) for x in base.objects]
         if base.kind == "circle":
-            homs += [(arr.source, arr.target, arr.name, [arr.name]) for arr in base.arrows]
+            homs += [(arr.source, arr.target, arr.name, fib.transition(arr.name).assignment) for arr in base.arrows]
         else:
             p = base.poset
-            pairs = [(x, y) for x in p.elements for y in p.elements if p.lt(x, y)]
-            homs += [(x, y, None, [f"{u}<{v}" for u, v in p.cover_path(x, y)]) for x, y in pairs]
+            table, bad = _transition_walk(fib)
+            if bad is not None:
+                raise ValueError(f"path independence fails between {bad[0]} and {bad[1]}")
+            homs += [(x, y, None, table[x, y]) for x in p.elements for y in p.elements if p.lt(x, y)]
         morphisms = []
-        for x, y, arrow, path in homs:
-            t, fy = fib.transition_along(x, path), fib.fiber(y)
+        for x, y, arrow, t in homs:
+            fy = fib.fiber(y)
             for a in fib.fiber(x).elements:
-                morphisms += [TotalMorphism((x, a), (y, c), arrow) for c in fy.elements if fy.le(t(a), c)]
+                morphisms += [TotalMorphism((x, a), (y, c), arrow) for c in fy.elements if fy.le(t[a], c)]
         return TotalCategory(fib, objects, morphisms)
 
     def nonidentity(self) -> list:

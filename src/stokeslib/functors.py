@@ -9,8 +9,8 @@ coordinates, realize the level-induction pullback square, solve global
 splitting as one exact linear system, and compute Ext from Hom(P, G) for a
 minimal projective resolution P of F over the total category: the complex
 that ``hom_complex`` returns and the CLI prints, padded with zero terms to
-the length of the nerve complex.  Composites F(a <= b) in a fiber are read
-off one table per call, built by one walk up the fiber (``_fiber_walk``).
+the length of the nerve complex.  Every composite along a poset path is read
+off a ``FinPoset.path_composites`` table, which a functor makes once per fiber.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from graphlib import TopologicalSorter
 from itertools import accumulate
 
-from .bases import BaseFunctor
+from .bases import BaseFunctor, base_arrow_id
 from .exactmath import (
     Matrix,
     _echelon,
@@ -57,9 +57,37 @@ def lift_arrow_id(base_arrow: str, a: str) -> str:
 
 @dataclass(frozen=True)
 class StokesFunctor:
+    """A dimension per total object and a matrix per generating total arrow.
+    The dicts are copied when it is built and must not be edited through
+    ``f.spaces`` or ``f.arrows``: the walks of its fibers and base are kept."""
+
     fibration: StokesFibration
     spaces: dict  # (x, a) -> dimension
     arrows: dict  # generating total arrow id -> Matrix
+
+    def __post_init__(self):
+        object.__setattr__(self, "spaces", dict(self.spaces))
+        object.__setattr__(self, "arrows", dict(self.arrows))
+        object.__setattr__(self, "_walks", {})
+
+    def _walk(self, x: str | None) -> tuple[dict, tuple | None]:
+        """The walk up the fiber at x (F(a <= b) over a < b) or, for x None, up a poset
+        base (per x < y and a in the fiber at x, the composite lift and the element
+        it reaches), with its first conflict; made on first use, kept off the fields."""
+        if x not in self._walks:
+            fib, cover, lift = self.fibration, self.cover_matrix, self.lift_matrix
+
+            def step(u, v, m):
+                if x is not None:
+                    return cover(x, u, v) if m is None else cover(x, u, v) @ m
+                g = base_arrow_id(u, v)
+                t = fib.transition(g)
+                if m is None:
+                    return {a: (lift(g, a), t(a)) for a in fib.fiber(u).elements}
+                return {a: (lift(g, c) @ lm, t(c)) for a, (lm, c) in m.items()}
+
+            self._walks[x] = (fib.base.poset if x is None else fib.fiber(x)).path_composites(step)
+        return self._walks[x]
 
     def dim(self, x: str, a: str) -> int:
         return self.spaces[(x, a)]
@@ -71,32 +99,28 @@ class StokesFunctor:
         return self.arrows[lift_arrow_id(base_arrow, a)]
 
     def fiber_matrix(self, x: str, a: str, b: str) -> Matrix:
-        """Composite along one cover chain from a up to b inside fiber x."""
-        out = None
-        for u, v in self.fibration.fiber(x).cover_path(a, b):
-            step = self.cover_matrix(x, u, v)
-            out = step if out is None else step @ out
-        return Matrix.identity(self.dim(x, a)) if out is None else out
+        """F(a <= b) in the fiber at x, read off its walk; ValueError when a is
+        not below b or when the fiber's cover paths from a to b disagree."""
+        if a == b:
+            return Matrix.identity(self.dim(x, a))
+        table, bad = self._walk(x)
+        if (a, b) in table:
+            return table[a, b]
+        if not self.fibration.fiber(x).lt(a, b):
+            raise ValueError(f"no cover chain from {a} up to {b}")
+        raise ValueError(f"fiber functoriality fails between {bad[0]} and {bad[1]} at {x}")
 
     def morphism_matrix(self, tm) -> Matrix:
-        """Value on a morphism of the total category: the lifts along its
-        base arrows, then the fiber composite at the target."""
-        x, cur = tm.source
-        y, c = tm.target
-        base = self.fibration.base
-        if base.kind == "circle":
-            gens = [tm.arrow] if tm.arrow else []
+        """Value on a morphism of the total category: the lift over its base
+        morphism, then the fiber composite at the target."""
+        (x, a), (y, c) = tm.source, tm.target
+        if x == y:
+            return self.fiber_matrix(x, a, c)
+        if tm.arrow is not None:
+            lift, reached = self.lift_matrix(tm.arrow, a), self.fibration.transition(tm.arrow)(a)
         else:
-            gens = [f"{u}<{v}" for u, v in base.poset.cover_path(x, y)]
-        out = None
-        for g in gens:
-            step = self.lift_matrix(g, cur)
-            out = step if out is None else step @ out
-            cur = self.fibration.transition(g)(cur)
-        if out is not None and cur == c:
-            return out
-        fm = self.fiber_matrix(y, cur, c)
-        return fm if out is None else fm @ out
+            lift, reached = self._walk(None)[0][x, y][a]
+        return lift if reached == c else self.fiber_matrix(y, reached, c) @ lift
 
 
 def generating_arrow_shapes(fib: StokesFibration) -> dict:
@@ -139,9 +163,8 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
     if unknown:
         return False, f"unknown {unknown[0]}"
     # fiber functoriality: all cover paths between comparable pairs agree
-    tables = {}
     for x in fib.base.objects:
-        tables[x], bad = _fiber_walk(f, x)
+        bad = f._walk(x)[1]
         if bad is not None:
             return False, f"fiber functoriality fails between {bad[0]} and {bad[1]} at {x}"
     # naturality of cocartesian lifts against fiber covers
@@ -151,21 +174,12 @@ def validate_functor(f: StokesFunctor) -> tuple[bool, str]:
             left = f.lift_matrix(arr.name, b) @ f.cover_matrix(arr.source, a, b)
             right = f.lift_matrix(arr.name, a)
             if t(a) != t(b):
-                right = tables[arr.target][t(a), t(b)] @ right
+                right = f._walk(arr.target)[0][t(a), t(b)] @ right
             if left != right:
                 return False, f"lift naturality fails for {arr.name} at cover {a}<{b}"
-    # base-level path independence for poset bases: per fiber element a of
-    # the start, the composite lift and the element it has reached
+    # base-level path independence for poset bases
     if fib.base.kind == "poset":
-
-        def step(u, v, m):
-            g = f"{u}<{v}"
-            t = fib.transition(g)
-            if m is None:
-                return {a: (f.lift_matrix(g, a), t(a)) for a in fib.fiber(u).elements}
-            return {a: (f.lift_matrix(g, c) @ lm, t(c)) for a, (lm, c) in m.items()}
-
-        _, bad = fib.base.poset.path_composites(step)
+        bad = f._walk(None)[1]
         if bad is not None:
             x, y, m, m2 = bad
             a = next(a for a in m if m[a] != m2[a])
@@ -197,18 +211,11 @@ class Splitting:
         return [b for b in self.order if le(b, a)]
 
 
-def _fiber_walk(f: StokesFunctor, x: str) -> tuple[dict, tuple | None]:
-    """One walk up the fiber at x: the table of F(a <= b) over all a < b, and the first conflict."""
-    return f.fibration.fiber(x).path_composites(
-        lambda u, v, m: f.cover_matrix(x, u, v) if m is None else f.cover_matrix(x, u, v) @ m
-    )
-
-
-def _comparison(table: dict, a: str, parts, rows: int) -> Matrix:
-    """The canonical map into F(a), of ``rows`` rows, out of the ordered sum of the
-    blocks m of ``parts`` = [(c, m)], c <= a, each sent on through F(c <= a) =
-    ``table[c, a]``: the specialization matrices and the iso of a global splitting."""
-    return hstack_all([m if c == a else table[c, a] @ m for c, m in parts], rows)
+def _comparison(f: StokesFunctor, y: str, a: str, parts) -> Matrix:
+    """The canonical map into F(y, a) out of the ordered sum of the blocks m of
+    ``parts`` = [(c, m)], c <= a, each sent on through F(c <= a): the
+    specialization matrices and the iso of a global splitting."""
+    return hstack_all([m if c == a else f.fiber_matrix(y, c, a) @ m for c, m in parts], f.dim(y, a))
 
 
 def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
@@ -234,12 +241,11 @@ def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
     for a in fib.elements:
         if f.dim(x, a) != sum(dims[b] for b in fib.elements if fib.le(b, a)):
             return None
-    table, _ = _fiber_walk(f, x)
     theta = {}
     theta_inv = {}
     for a in fib.elements:
         # F(b <= a) . section_b picks the columns idx[b] of F(b <= a); every b < a comes before a in order
-        blocks = [table[b, a].submatrix(range(f.dim(x, a)), idx[b]) for b in order if fib.lt(b, a)]
+        blocks = [f.fiber_matrix(x, b, a).submatrix(range(f.dim(x, a)), idx[b]) for b in order if fib.lt(b, a)]
         th = hstack_all(blocks + [sections[a]], f.dim(x, a))
         try:
             theta_inv[a] = inverse(th)
@@ -278,10 +284,9 @@ def specialization_matrix(f: StokesFunctor, base_arrow: str, s: Splitting) -> di
         raise ValueError("splitting is not at the source of the arrow")
     t = f.fibration.transition(base_arrow)
     target_fiber = f.fibration.fiber(arr.target)
-    table, _ = _fiber_walk(f, arr.target)
     lifted = [(t(b), f.lift_matrix(base_arrow, b) @ s.sections[b]) for b in s.order]
     return {
-        a: _comparison(table, a, [(c, m) for c, m in lifted if target_fiber.le(c, a)], f.dim(arr.target, a))
+        a: _comparison(f, arr.target, a, [(c, m) for c, m in lifted if target_fiber.le(c, a)])
         for a in target_fiber.elements
     }
 
@@ -489,7 +494,8 @@ def grade_right_adjoint(p: FibrationMorphism, h: StokesFunctor) -> StokesFunctor
         px = p.map_at(x)
         for a, b in src.fiber(x).covers():
             if px(a) == px(b):
-                arrows[cover_arrow_id(x, a, b)] = h.fiber_matrix(x, a, b)
+                # a same-level cover is a cover of the graded fiber too
+                arrows[cover_arrow_id(x, a, b)] = h.cover_matrix(x, a, b)
             else:
                 arrows[cover_arrow_id(x, a, b)] = Matrix.zeros(h.dim(x, b), h.dim(x, a))
     for arr in src.base.arrows:
@@ -584,7 +590,9 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
         px = p.map_at(x)
         for a, b in src.fiber(x).covers():
             aid = cover_arrow_id(x, a, b)
-            arrows[aid] = induced_on_kernels((x, a), (x, b), g.fiber_matrix(x, px(a), px(b)), h_src[aid])
+            # p sends a cover to a cover or to one element: a d with p(a) < p(d) < p(b) has a < d < b
+            gm = Matrix.identity(g.dim(x, px(a))) if px(a) == px(b) else g.cover_matrix(x, px(a), px(b))
+            arrows[aid] = induced_on_kernels((x, a), (x, b), gm, h_src[aid])
     for arr in src.base.arrows:
         f_i = src.transition(arr.name)
         px = p.map_at(arr.source)
@@ -652,9 +660,8 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     for x in fib.base.objects:
         fibx = fib.fiber(x)
         s = splittings[x]
-        table, _ = _fiber_walk(f, x)
         for a in fibx.elements:
-            th = _comparison(table, a, [(b, sigmas[(x, b)]) for b in s.blocks(fibx.le, a)], f.dim(x, a))
+            th = _comparison(f, x, a, [(b, sigmas[(x, b)]) for b in s.blocks(fibx.le, a)])
             if not is_invertible(th):
                 raise ArithmeticError("feasible section produced a singular comparison")
             iso[(x, a)] = th

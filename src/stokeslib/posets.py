@@ -66,19 +66,6 @@ class FinPoset:
             object.__setattr__(self, "_covers", tuple(out))
         return list(self._covers)
 
-    def cover_path(self, a: str, b: str) -> list[tuple[str, str]]:
-        """The covers of one chain from a up to b, bottom first, each the first
-        cover out that stays below b; ValueError when a is not below b."""
-        covers = self.covers() if a != b else []
-        path = []
-        while a != b:
-            step = next(((u, v) for u, v in covers if u == a and self.le(v, b)), None)
-            if step is None:
-                raise ValueError(f"no cover chain from {a} up to {b}")
-            path.append(step)
-            a = step[1]
-        return path
-
     def linear_extension(self) -> tuple[str, ...]:
         """Stable topological order: minimal elements first, tie-broken by element order."""
         remaining = list(self.elements)

@@ -203,6 +203,20 @@ def oracle_cohomology_dims(dims, diffs) -> list:
 # brute-force splitting oracle (projective-cover comparison map)
 
 
+def oracle_fiber_matrix(f: StokesFunctor, x: str, a: str, b: str) -> Matrix:
+    """F(a <= b) composed along one cover chain up the fiber at x: from a, each
+    step takes the first cover out that stays below b."""
+    fib = f.fibration.fiber(x)
+    out = Matrix.identity(f.dim(x, a))
+    while a != b:
+        step = next(((u, v) for u, v in fib.covers() if u == a and fib.le(v, b)), None)
+        if step is None:
+            raise ValueError(f"no cover chain from {a} up to {b}")
+        out = f.cover_matrix(x, *step) @ out
+        a = step[1]
+    return out
+
+
 def oracle_split_verdict(f: StokesFunctor, x: str) -> bool:
     """Build the canonical comparison from chosen top sections and test that
     every component is invertible, using only the oracle elimination."""
@@ -214,7 +228,7 @@ def oracle_split_verdict(f: StokesFunctor, x: str) -> bool:
         below = [c for c in elems if fib.lt(c, b)]
         cols = []
         for c in below:
-            mat = f.fiber_matrix(x, c, b)
+            mat = oracle_fiber_matrix(f, x, c, b)
             for j in range(mat.cols):
                 cols.append([mat.at(i, j) for i in range(mat.rows)])
         d = f.dim(x, b)
@@ -238,7 +252,7 @@ def oracle_split_verdict(f: StokesFunctor, x: str) -> bool:
         for b in elems:
             if not fib.le(b, a):
                 continue
-            mat = f.fiber_matrix(x, b, a)
+            mat = oracle_fiber_matrix(f, x, b, a)
             for col in secs[b]:
                 image = [sum(mat.at(i, k) * col[k] for k in range(mat.cols)) for i in range(mat.rows)]
                 cols.append(image)
@@ -259,7 +273,7 @@ def oracle_split_sections(f: StokesFunctor, x: str):
     for b in fib.linear_extension():
         below = [c for c in fib.elements if fib.lt(c, b)]
         d_b = f.dim(x, b)
-        rad = hstack_all([f.fiber_matrix(x, c, b) for c in below], d_b) if below else Matrix.zeros(d_b, 0)
+        rad = hstack_all([oracle_fiber_matrix(f, x, c, b) for c in below], d_b) if below else Matrix.zeros(d_b, 0)
         idx = column_space_complement(rad)
         dims[b] = len(idx)
         sections[b] = Matrix(
@@ -275,14 +289,14 @@ def oracle_split_fiber(f: StokesFunctor, x: str):
     """(sections, theta, theta_inv) at x, built as split_fiber built them before
     it read a table of composites: theta[a] is the comparison out of the tops
     below a, in linear-extension order, each F(b <= a) . section_b a product with
-    the composite of one cover chain (``fiber_matrix``)."""
+    the composite of one cover chain (``oracle_fiber_matrix``)."""
     from stokeslib import inverse
 
     fib = f.fibration.fiber(x)
     _, sections = oracle_split_sections(f, x)
     order = fib.linear_extension()
     theta = {
-        a: hstack_all([f.fiber_matrix(x, b, a) @ sections[b] for b in order if fib.le(b, a)], f.dim(x, a))
+        a: hstack_all([oracle_fiber_matrix(f, x, b, a) @ sections[b] for b in order if fib.le(b, a)], f.dim(x, a))
         for a in fib.elements
     }
     return sections, theta, {a: inverse(m) for a, m in theta.items()}
@@ -420,10 +434,12 @@ def oracle_transition_failures(fib: StokesFibration) -> set:
     for x in p.elements:
         for y in p.elements:
             if p.lt(x, y):
-                composites = {
-                    tuple(sorted(fib.transition_along(x, path).assignment.items()))
-                    for path in oracle_hasse_paths(p, x, y)
-                }
+                composites = set()
+                for path in oracle_hasse_paths(p, x, y):
+                    t = {a: a for a in fib.fiber(x).elements}
+                    for g in path:
+                        t = {a: fib.transition(g)(c) for a, c in t.items()}
+                    composites.add(tuple(sorted(t.items())))
                 if len(composites) > 1:
                     out.add((x, y))
     return out
@@ -634,10 +650,10 @@ def random_splitting(f: StokesFunctor, x: str, rng):
             if fib.lt(c, b):
                 d_c = f.dim(x, c)
                 r = Matrix(d_c, k, tuple(Fraction(rng.randint(-2, 2)) for _ in range(d_c * k)))
-                sec = sec + f.fiber_matrix(x, c, b) @ r
+                sec = sec + oracle_fiber_matrix(f, x, c, b) @ r
         sections[b] = sec
     theta = {
-        a: hstack_all([f.fiber_matrix(x, b, a) @ sections[b] for b in s.blocks(fib.le, a)], f.dim(x, a))
+        a: hstack_all([oracle_fiber_matrix(f, x, b, a) @ sections[b] for b in s.blocks(fib.le, a)], f.dim(x, a))
         for a in fib.elements
     }
     return dataclasses.replace(s, sections=sections, theta=theta, theta_inv={a: inverse(m) for a, m in theta.items()})

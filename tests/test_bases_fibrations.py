@@ -96,7 +96,10 @@ def test_validate_fibration_and_path_independence():
         {"o<l": ident, "o<r": ident, "l<t": ident, "r<t": swap},
     )
     ok, why = validate_fibration(fib)
-    assert not ok and "path independence" in why
+    assert (ok, why) == (False, "path independence fails between o and t")
+    # the total category has no transition over o < t to read
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        TotalCategory.of(fib)
 
 
 def test_chain_counts_trivial_fibration():

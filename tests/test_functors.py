@@ -28,7 +28,11 @@ from stokeslib.fixtures import nonsplit_witness, rank_one_one_functor, two_value
 
 from helpers import (
     canonical_posets,
+    conjugate_functor,
+    diamond_base_functor,
     mat_rows,
+    oracle_fiber_matrix,
+    oracle_hasse_paths,
     oracle_is_invertible,
     oracle_lift_failures,
     oracle_split_sections,
@@ -500,9 +504,7 @@ def test_fiber_tables_agree_with_cover_chains_and_the_old_splitting():
     walk up each fiber is the composite of one cover chain at every pair a < b,
     and split_fiber gives the sections, theta and theta_inv of the comparison
     built from those composites."""
-    from stokeslib.functors import _fiber_walk
-
-    from helpers import four_value_circle, oracle_split_fiber, three_value_circle
+    from helpers import four_value_circle, oracle_fiber_matrix, oracle_split_fiber, three_value_circle
 
     rng = random.Random(19)
     cases = []
@@ -515,9 +517,9 @@ def test_fiber_tables_agree_with_cover_chains_and_the_old_splitting():
         assert validate_functor(f) == (True, "ok")
         for x in f.fibration.base.objects:
             fib = f.fibration.fiber(x)
-            table, bad = _fiber_walk(f, x)
+            table, bad = f._walk(x)
             assert bad is None
-            assert table == {(a, b): f.fiber_matrix(x, a, b) for a, b in fib.leq if a != b}
+            assert table == {(a, b): oracle_fiber_matrix(f, x, a, b) for a, b in fib.leq if a != b}
             s = split_fiber(f, x)
             assert (s.sections, s.theta, s.theta_inv) == oracle_split_fiber(f, x)
 
@@ -550,3 +552,64 @@ def test_validate_functor_messages_read_off_the_tables():
     assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (True, "ok")
     arrows[cover_arrow_id("y", "v", "w")] = Matrix.from_rows([[2]])
     assert validate_functor(StokesFunctor(fib, spaces, arrows)) == (False, "lift naturality fails for x<y at cover a<b")
+
+
+def test_fiber_matrix_refuses_a_pair_whose_cover_paths_disagree():
+    """On the diamond fiber whose two sides compose to 1 and 2, F(o <= t) has
+    no value: fiber_matrix names the pair as validate_functor does."""
+    import pytest
+
+    diamond = FinPoset.from_relation("olrt", [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
+    arrows = {cover_arrow_id("x", a, b): Matrix.from_rows([[2 if (a, b) == ("r", "t") else 1]]) for a, b in diamond.covers()}
+    f = StokesFunctor(point_fibration(diamond), {("x", e): 1 for e in diamond.elements}, arrows)
+    assert f.fiber_matrix("x", "o", "l") == Matrix.from_rows([[1]])
+    assert f.fiber_matrix("x", "t", "t") == Matrix.identity(1)
+    with pytest.raises(ValueError, match="^fiber functoriality fails between o and t at x$"):
+        f.fiber_matrix("x", "o", "t")
+    for a, b in (("t", "o"), ("l", "r")):
+        with pytest.raises(ValueError, match=f"^no cover chain from {a} up to {b}$"):
+            f.fiber_matrix("x", a, b)
+
+
+def test_a_functor_keeps_the_values_it_was_built_with():
+    """Dicts that the caller edits after building a functor leave its values,
+    its walks, its equality and its repr as they were."""
+    fib = point_fibration(FinPoset.chain(["a", "b"]))
+    one, aid = Matrix.from_rows([[1]]), cover_arrow_id("x", "a", "b")
+    spaces, arrows = {("x", "a"): 1, ("x", "b"): 1}, {aid: one}
+    f = StokesFunctor(fib, spaces, arrows)
+    spaces[("x", "a")] = 2
+    arrows[aid] = Matrix.from_rows([[2]])
+    same = StokesFunctor(fib, {("x", "a"): 1, ("x", "b"): 1}, {aid: one})
+    assert (f.spaces, f.arrows) == (same.spaces, same.arrows)
+    assert validate_functor(f) == (True, "ok")
+    assert f.fiber_matrix("x", "a", "b") == one
+    assert f == same and repr(f) == repr(same)
+
+
+def test_morphism_matrix_composes_lifts_along_a_path_and_then_the_fiber():
+    """On every nonidentity total morphism, the value is the lifts along the
+    first cover path of the base (or the circle arrow crossed) composed by
+    hand, then one cover chain of the target fiber."""
+    from stokeslib import TotalCategory
+
+    from helpers import three_value_circle
+
+    rng = random.Random(0)
+    cases = [
+        conjugate_functor(diamond_base_functor(), rng),
+        random_standard_functor(three_value_circle().fibration, dict(zip("uvw", (2, 1, 2))), rng, conjugate=True),
+    ]
+    for f in cases:
+        fib = f.fibration
+        for tm in TotalCategory.of(fib).nonidentity():
+            (x, a), (y, c) = tm.source, tm.target
+            if fib.base.kind == "circle":
+                path = [tm.arrow] if tm.arrow else []
+            else:
+                path = oracle_hasse_paths(fib.base.poset, x, y)[0]
+            want = Matrix.identity(f.dim(x, a))
+            for g in path:
+                want = f.lift_matrix(g, a) @ want
+                a = fib.transition(g)(a)
+            assert f.morphism_matrix(tm) == oracle_fiber_matrix(f, y, a, c) @ want, tm

@@ -39,16 +39,6 @@ def test_validate_reflexivity_violation():
     assert not ok and "reflexivity" in msg
 
 
-def test_cover_path_walks_one_chain_up_and_refuses_other_pairs():
-    diamond = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
-    assert diamond.cover_path("o", "t") == [("o", "l"), ("l", "t")]
-    assert diamond.cover_path("r", "t") == [("r", "t")]
-    assert diamond.cover_path("l", "l") == []
-    for a, b in (("t", "o"), ("l", "r")):
-        with pytest.raises(ValueError):
-            diamond.cover_path(a, b)
-
-
 def test_covers_are_a_new_list_on_every_call():
     diamond = FinPoset.from_relation(["o", "l", "r", "t"], [("o", "l"), ("o", "r"), ("l", "t"), ("r", "t")])
     first = diamond.covers()

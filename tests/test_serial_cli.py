@@ -1157,3 +1157,31 @@ def test_functor_entries_are_read_once_and_strictly(space):
     for bad in (True, 1.0, "1/0", None, [1]):
         with pytest.raises(ValueError):
             serial.functor_from_json(with_entries(1, bad))
+
+
+def test_each_command_walks_each_fiber_once(tmp_path, space, monkeypatch):
+    """validate, is-stokes and split each walk every fiber of the functor once,
+    and a circle base not at all: one path_composites per base object."""
+    import random
+
+    from stokeslib import FinPoset
+    from helpers import random_standard_functor, three_value_circle
+
+    three = random_standard_functor(three_value_circle().fibration, dict(zip("uvw", (1, 2, 1))), random.Random(0))
+    walks = []
+    original = FinPoset.path_composites
+
+    def counted(self, step):
+        walks.append(self)
+        return original(self, step)
+
+    monkeypatch.setattr(FinPoset, "path_composites", counted)
+    p = tmp_path / "f.json"
+    for f, want in ((rank_one_one_functor(space), 4), (three, 12)):
+        p.write_text(serial.dumps(serial.functor_to_json(f)))
+        counts = []
+        for command in ("validate", "is-stokes", "split"):
+            walks.clear()
+            assert run_cli(tmp_path, command, "--input", str(p), "--output", str(tmp_path / "out.json")) in (0, 1)
+            counts.append(len(walks))
+        assert counts == [want] * 3
