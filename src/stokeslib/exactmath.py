@@ -5,7 +5,8 @@ row-major tuples of Fractions, multiplied by integer dot products.  One
 elimination serves all of the linear algebra: ``SparseEchelon`` keeps its
 pivot rows as primitive integer rows in reduced row echelon form up to a
 positive factor per row, and rank, solve, inverse, kernel and column-space
-complement, dense or sparse, are read off the normalised pivot rows.
+complement, dense or sparse, are read off the normalised pivot rows; the
+sparse batch solves insert their rows bottom-up.
 """
 
 from __future__ import annotations
@@ -298,14 +299,24 @@ def _matrix_rows(m: Matrix) -> Iterator[dict]:
     return (dict(enumerate(m.row(i))) for i in range(m.rows))
 
 
+def _bottom_up(rows: Iterable[dict]) -> SparseEchelon:
+    """The echelon of rows inserted bottom-up: in decreasing order of their
+    least nonzero column, ties broken by the next one, and so on.  A stored
+    pivot row holds no column left of its lead, so a row whose lead lies left
+    of every stored lead back-reduces nothing.  The reduced row echelon form,
+    and every answer read off it, is the same in any order; the order of
+    ``pivot_rows`` is not."""
+    return _echelon(sorted(rows, key=lambda row: sorted(c for c, v in row.items() if v), reverse=True))
+
+
 def sparse_rank(rows: Iterable[dict]) -> int:
-    return _echelon(rows).rank
+    return _bottom_up(rows).rank
 
 
 def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
     """Kernel vectors (as sparse dicts) of the system with the given rows,
     one per free column in increasing order."""
-    pivots = _echelon(rows).pivot_rows
+    pivots = _bottom_up(rows).pivot_rows
     free = [c for c in range(ncols) if c not in pivots]
     out = []
     for fc in free:
@@ -321,9 +332,10 @@ def sparse_kernel_basis(rows: Iterable[dict], ncols: int) -> list[dict[int, Frac
 def sparse_solve(rows: Iterable[dict], rhs_col: int) -> list[tuple[int, Fraction]] | None:
     """Solve an affine system given rows over columns [0..rhs_col] where the
     column ``rhs_col`` holds the negated right-hand side; free variables are
-    set to zero.  Returns the (column, value) pairs of a solution, or None.
+    set to zero.  Returns the (column, value) pairs of a solution, or None;
+    their order is not part of the answer.
     """
-    pivots = _echelon(rows).pivot_rows
+    pivots = _bottom_up(rows).pivot_rows
     if rhs_col in pivots:
         return None
     return [(pc, -prow[rhs_col]) for pc, prow in pivots.items() if rhs_col in prow]

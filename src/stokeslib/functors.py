@@ -11,6 +11,8 @@ minimal projective resolution P of F over the total category: the complex
 that ``hom_complex`` returns and the CLI prints, padded with zero terms to
 the length of the nerve complex.  Every composite along a poset path is read
 off a ``FinPoset.path_composites`` table, which a functor makes once per fiber.
+A functor keeps the splitting of each fiber once found; one made by induction
+on split coordinates reads it off its blocks instead of eliminating.
 """
 
 from __future__ import annotations
@@ -55,20 +57,39 @@ def lift_arrow_id(base_arrow: str, a: str) -> str:
     return f"{base_arrow}::{a}"
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every edit with TypeError; it pickles as its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the dicts of a StokesFunctor are read-only; build a new functor instead")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class StokesFunctor:
     """A dimension per total object and a matrix per generating total arrow.
-    The dicts are copied when it is built and must not be edited through
-    ``f.spaces`` or ``f.arrows``: the walks of its fibers and base are kept."""
+
+    The dicts are copied into read-only dicts when it is built, so that what
+    it keeps stays true: the walks of its fibers and base, the splitting of
+    each fiber that ``split_fiber`` found, and, on a functor made by induction
+    on split coordinates, the blocks that ``split_fiber`` reads its splitting
+    off.  Equality and repr read the three fields only.
+    """
 
     fibration: StokesFibration
     spaces: dict  # (x, a) -> dimension
     arrows: dict  # generating total arrow id -> Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "spaces", dict(self.spaces))
-        object.__setattr__(self, "arrows", dict(self.arrows))
+        object.__setattr__(self, "spaces", _ReadOnlyDict(self.spaces))
+        object.__setattr__(self, "arrows", _ReadOnlyDict(self.arrows))
         object.__setattr__(self, "_walks", {})
+        object.__setattr__(self, "_splittings", {})
+        object.__setattr__(self, "_blocks", None)  # (x, c) -> _BlockIndex, set by _induce_split
 
     def _walk(self, x: str | None) -> tuple[dict, tuple | None]:
         """The walk up the fiber at x (F(a <= b) over a < b) or, for x None, up a poset
@@ -221,7 +242,17 @@ def _comparison(f: StokesFunctor, y: str, a: str, parts) -> Matrix:
 def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
     """Split coordinates at x, or None when the fiber does not split.
 
-    The fiber splits iff for every a the dimension of F(a) equals the sum
+    Found once per functor and fiber and kept on f.  A functor made by
+    induction on split coordinates reads its splitting off its blocks; any
+    other is split by elimination.  Both give the same splitting.
+    """
+    if x not in f._splittings:
+        f._splittings[x] = _split_by_elimination(f, x) if f._blocks is None else _split_from_blocks(f, x)
+    return f._splittings[x]
+
+
+def _split_by_elimination(f: StokesFunctor, x: str) -> Splitting | None:
+    """The fiber splits iff for every a the dimension of F(a) equals the sum
     over b <= a of dim F(b) / (sum of images of the covers into b); the
     canonical comparison built from any sections of the top quotients is
     then automatically invertible.
@@ -253,6 +284,37 @@ def split_fiber(f: StokesFunctor, x: str) -> Splitting | None:
             raise ArithmeticError("dimension count passed but the comparison is singular") from None
         theta[a] = th
     return Splitting(x, order, dims, sections, theta, theta_inv)
+
+
+def _split_from_blocks(f: StokesFunctor, x: str) -> Splitting:
+    """The splitting at x of a functor induced on split coordinates, read off
+    its blocks with no elimination.
+
+    The value at c is the ordered sum of the tops V_b of the inducing functor
+    with q(b) <= c, and the covers are block inclusions, so the covers into c
+    span the blocks with q(b) < c: the top at c is the run of blocks with
+    q(b) = c, the first c in linear-extension order whose blocks hold b.  Its
+    section is the unit columns of those blocks, theta[a] is the permutation
+    from the tops below a onto the block order at a, and theta_inv[a] is its
+    transpose; elimination finds exactly these.
+    """
+    fib = f.fibration.fiber(x)
+    order = fib.linear_extension()
+    own, seen = {}, set()
+    for c in order:
+        own[c] = [b for b in f._blocks[(x, c)].labels if b not in seen]
+        seen.update(own[c])
+    one, zero = Fraction(1), Fraction(0)
+
+    def unit_columns(a, tops) -> Matrix:
+        bi = f._blocks[(x, a)]
+        n, at = bi.total, [bi.offset(b) + i for b in tops for i in range(bi.dims[b])]
+        return Matrix(n, len(at), tuple(one if r == i else zero for r in range(n) for i in at))
+
+    dims = {c: sum(f._blocks[(x, c)].dims[b] for b in own[c]) for c in order}
+    sections = {c: unit_columns(c, own[c]) for c in order}
+    theta = {a: unit_columns(a, [b for c in order if fib.le(c, a) for b in own[c]]) for a in fib.elements}
+    return Splitting(x, order, dims, sections, theta, {a: m.transpose() for a, m in theta.items()})
 
 
 def punctual_splittings(f: StokesFunctor) -> dict | None:
@@ -361,6 +423,8 @@ def _embed_rows(src: _BlockIndex, tgt: _BlockIndex, m: Matrix | None = None) -> 
     """
     if m is None:
         m = Matrix.identity(src.total)
+    if src.labels == tgt.labels:
+        return m
     out = [(Fraction(0),) * m.cols] * tgt.total
     ro = 0
     for b in src.labels:
@@ -424,13 +488,20 @@ def _induce_split(f: StokesFunctor, splittings: dict, target: StokesFibration, q
         f_i = source.transition(arr.name)
         s_x, s_y = splittings[arr.source], splittings[arr.target]
         le_y = source.fiber(arr.target).le
+        # the top V_b lands in the blocks below f_i(b); only those that some
+        # target block over a source block holding b has are formed, once per b
+        kept = {b: set() for b in s_x.order}
+        for a in target.fiber(arr.source).elements:
+            tgt_labels = blocks[(arr.target, t(a))].labels
+            for b in blocks[(arr.source, a)].labels:
+                kept[b].update(tgt_labels)
+        lifted = {}
+        for b, rows in kept.items():
+            bi = _BlockIndex([c for c in s_y.blocks(le_y, f_i(b)) if c in rows], s_y.dims)
+            lifted[b] = bi, _project(s_y, le_y, f_i(b), bi) @ (f.lift_matrix(arr.name, b) @ s_x.sections[b])
         for a in target.fiber(arr.source).elements:
             tgt_bi = blocks[(arr.target, t(a))]
-            # the top V_b lands in the blocks below f_i(b); those tgt_bi lacks are dropped
-            cols = [
-                _project(s_y, le_y, f_i(b), tgt_bi) @ f.lift_matrix(arr.name, b) @ s_x.sections[b]
-                for b in blocks[(arr.source, a)].labels
-            ]
+            cols = [_embed_rows(bi, tgt_bi, m) for bi, m in map(lifted.get, blocks[(arr.source, a)].labels)]
             arrows[lift_arrow_id(arr.name, a)] = hstack_all(cols, tgt_bi.total)
     units = {}
     for x in target.base.objects:
@@ -439,7 +510,9 @@ def _induce_split(f: StokesFunctor, splittings: dict, target: StokesFibration, q
         for a in fib.elements:
             units[(x, a)] = _project(splittings[x], fib.le, a, blocks[(x, qx(a))])
     spaces = {key: bi.total for key, bi in blocks.items()}
-    return InducedFunctor(StokesFunctor(target, spaces, arrows), units)
+    induced = StokesFunctor(target, spaces, arrows)
+    object.__setattr__(induced, "_blocks", blocks)  # split_fiber reads its splitting off these
+    return InducedFunctor(induced, units)
 
 
 def _check_morphism(p: FibrationMorphism, f: StokesFunctor) -> None:
@@ -516,7 +589,8 @@ def level_disassemble(p: FibrationMorphism, f: StokesFunctor):
     to the induction of h over the underlying-set fibration of the target.
     f is split once, and both g and h are built from that one splitting:
     both sides then refine to the tops V_b of f with p(b) = c, in splitting
-    order, so alpha is the identity.
+    order, so alpha is the identity.  g and h read their own splittings off
+    their blocks, so ``level_assemble`` splits neither by elimination.
     """
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
@@ -544,7 +618,8 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
     if not is_level_fibration_morphism(p):
         raise ValueError("not a level graduation morphism")
     # the graduation of g over the target, and the induction of h to the
-    # underlying sets of the target, read off one splitting of each
+    # underlying sets of the target, read off one splitting of each (kept on
+    # pieces from level_disassemble, found by elimination on any others)
     if g.fibration != p.target:
         raise ValueError("g does not live on the target of the morphism")
     split_g = _standardize(g)
@@ -566,12 +641,13 @@ def level_assemble(p: FibrationMorphism, g: StokesFunctor, h: StokesFunctor, alp
         px = p.map_at(x)
         s_g, s_h = split_g[x], split_h[x]
         le_g, le_h = g.fibration.fiber(x).le, h.fibration.fiber(x).le
+        # g at c onto its top, through alpha: once per c, for every a above it
+        q_sides = {c: alpha[(x, c)] @ _project(s_g, le_g, c, _BlockIndex([c], s_g.dims)) for c in s_g.order}
         for a in src.fiber(x).elements:
             c = px(a)
-            q_side = alpha[(x, c)] @ _project(s_g, le_g, c, _BlockIndex([c], s_g.dims))
             same_class = _BlockIndex([b for b in s_h.order if px(b) == c], s_h.dims)
             r_side = _project(s_h, le_h, a, same_class)
-            glue = q_side.hstack(-r_side)
+            glue = q_sides[c].hstack(-r_side)
             k = kernel_basis(glue)
             kernels[(x, a)] = k
             spaces[(x, a)] = k.cols
@@ -641,8 +717,7 @@ def split_global(f: StokesFunctor) -> GlobalSplitting | None:
     naturality, var_offset, total = _naturality_rows(tops, on_sets)
     rhs_col = total
     rows: list[dict] = []
-    # q . sigma = identity at every total object; these rows go first, which
-    # keeps the elimination cheap (sigma_(x, a) is row-major, d_top wide)
+    # q . sigma = identity at every total object (sigma_(x, a) is row-major, d_top wide)
     for key, q in induced.units.items():
         d_top, off = q.rows, var_offset[key]
         for r, line in enumerate(_sparse_lines(q, False)):

@@ -587,6 +587,39 @@ def test_a_functor_keeps_the_values_it_was_built_with():
     assert f == same and repr(f) == repr(same)
 
 
+def test_a_functor_refuses_edits_to_its_dicts():
+    """On a fiber chain a < b < c with both covers [1], an edit of the cover
+    b < c after the composite a <= c was read would leave the kept walk
+    stale: every edit of spaces or arrows raises TypeError instead, and the
+    functor keeps its values, its walk and its verdicts."""
+    import pytest
+
+    chain = FinPoset.chain(["a", "b", "c"])
+    one, zero = Matrix.from_rows([[1]]), Matrix.from_rows([[0]])
+    ab, bc = cover_arrow_id("x", "a", "b"), cover_arrow_id("x", "b", "c")
+    f = StokesFunctor(point_fibration(chain), {("x", e): 1 for e in "abc"}, {ab: one, bc: one})
+    assert f.fiber_matrix("x", "a", "c") == one
+    with pytest.raises(TypeError):
+        f.arrows[bc] = zero
+    with pytest.raises(TypeError):
+        del f.spaces[("x", "a")]
+    with pytest.raises(TypeError):
+        f.spaces |= {("x", "a"): 2}
+    edits = [
+        lambda: f.arrows.update({bc: zero}),
+        lambda: f.arrows.setdefault(bc, zero),
+        lambda: f.arrows.pop(bc),
+        lambda: f.arrows.popitem(),
+        lambda: f.spaces.clear(),
+    ]
+    for edit in edits:
+        with pytest.raises(TypeError):
+            edit()
+    assert f.cover_matrix("x", "b", "c") == f.fiber_matrix("x", "a", "c") == one
+    assert validate_functor(f) == (True, "ok")
+    assert f == StokesFunctor(f.fibration, {("x", e): 1 for e in "abc"}, {ab: one, bc: one})
+
+
 def test_morphism_matrix_composes_lifts_along_a_path_and_then_the_fiber():
     """On every nonidentity total morphism, the value is the lifts along the
     first cover path of the base (or the circle arrow crossed) composed by

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokeslib import (
     FinPoset,
@@ -21,7 +23,7 @@ from stokeslib import (
     validate_functor,
 )
 from stokeslib.fibrations import FibrationMorphism
-from helpers import oracle_level_alpha, random_level_setup, set_target_morphism
+from helpers import conjugate_functor, oracle_level_alpha, random_level_setup, set_target_morphism
 
 
 def point_fibration(fiber: FinPoset) -> StokesFibration:
@@ -227,20 +229,29 @@ def test_assemble_zero_pieces_gives_zero():
 
 
 def test_level_disassemble_splits_each_functor_once(monkeypatch):
+    """split_fiber is asked once per base object for each of f, g and h, and
+    eliminates only for f: g and h read the splittings they were made with.
+    Pieces built anew, as pieces read from JSON are, are split by
+    elimination again."""
     from stokeslib import functors, pole_level_structure
     from helpers import random_standard_functor, three_value_circle
 
     cs3 = three_value_circle()
     f = random_standard_functor(cs3.fibration, {"u": 1, "v": 1, "w": 1}, random.Random(2))
     stage = pole_level_structure(cs3).stages[0]
-    split = functors.split_fiber
-    calls = []
+    split, eliminate = functors.split_fiber, functors._split_by_elimination
+    calls, eliminated = [], []
 
     def counting(functor, x):
         calls.append(functor)
         return split(functor, x)
 
+    def counting_eliminations(functor, x):
+        eliminated.append(functor)
+        return eliminate(functor, x)
+
     monkeypatch.setattr(functors, "split_fiber", counting)
+    monkeypatch.setattr(functors, "_split_by_elimination", counting_eliminations)
     g, h, alpha = level_disassemble(stage, f)
     n = len(f.fibration.base.objects)
     assert len(calls) == n
@@ -249,6 +260,11 @@ def test_level_disassemble_splits_each_functor_once(monkeypatch):
     level_assemble(stage, g, h, alpha)
     assert len(calls) == 2 * n
     assert [sum(c is functor for c in calls) for functor in (g, h)] == [n, n]
+    assert len(eliminated) == n and all(c is f for c in eliminated)
+    eliminated.clear()
+    fresh_g, fresh_h = _fresh(g), _fresh(h)
+    level_assemble(stage, fresh_g, fresh_h, alpha)
+    assert [sum(c is piece for c in eliminated) for piece in (fresh_g, fresh_h)] == [n, n]
 
 
 def test_level_assemble_names_the_misplaced_piece():
@@ -410,3 +426,90 @@ def test_level_assemble_refuses_an_alpha_that_names_nothing():
     with pytest.raises(ValueError, match=rf"has no entry at \('{keys[1][0]}', '{keys[1][1]}'\)"):
         level_assemble(stage, g, h, missing)
     assert level_assemble(stage, g, h, alpha).spaces == f.spaces
+
+
+# ---------------------------------------------------------------------------
+# splittings kept on functors made by induction
+
+
+def _fresh(f: StokesFunctor) -> StokesFunctor:
+    """The same functor built anew: it keeps nothing, so it is split by elimination."""
+    return StokesFunctor(f.fibration, f.spaces, f.arrows)
+
+
+def _circle_stage_cases(rng) -> list:
+    """(stage, functor) at both stages of the three- and four-value circles,
+    stage k + 1 on the induction of stage k; ranks at most 2, conjugated."""
+    from stokeslib import pole_level_structure
+    from helpers import four_value_circle, random_standard_functor, three_value_circle
+
+    cases = []
+    for cs in (three_value_circle(), four_value_circle()):
+        f = random_standard_functor(cs.fibration, {n: rng.choice([1, 2]) for n in cs.data.names}, rng, conjugate=True)
+        for stage in pole_level_structure(cs).stages:
+            if stage.source != f.fibration:
+                f = level_disassemble(prev, f)[0]
+            cases.append((stage, f))
+            prev = stage
+    return cases
+
+
+def _assert_kept_splittings_are_eliminated_ones(p: FibrationMorphism, f: StokesFunctor) -> None:
+    """induce, grade, the two pieces of level_disassemble and the tops of f
+    read the same splitting off their blocks as elimination finds on a fresh copy."""
+    from stokeslib import split_fiber, top_functor
+    from stokeslib.functors import punctual_splittings
+
+    g, h, _ = level_disassemble(p, f)
+    for piece in (induce(p, f), grade(p, f), g, h, top_functor(f, punctual_splittings(f))):
+        fresh = _fresh(piece)
+        for x in piece.fibration.base.objects:
+            assert split_fiber(piece, x) == split_fiber(fresh, x), x
+
+
+def test_functors_made_by_induction_on_circles_keep_the_eliminated_splitting():
+    for p, f in _circle_stage_cases(random.Random(23)):
+        _assert_kept_splittings_are_eliminated_ones(p, f)
+
+
+def _crossed_level_case(rng) -> tuple:
+    """(p, f) on a random level setup whose quotient lists its elements in a
+    random order: its linear extension then need not follow the order of the
+    tops of f, and theta is a permutation that need not be symmetric."""
+    I, J, assign = random_level_setup(rng)
+    pairs = [(a, b) for a in J.elements for b in J.elements if J.lt(a, b)]
+    J = FinPoset.from_relation(rng.sample(J.elements, len(J.elements)), pairs)
+    f = conjugate_functor(induced_functor_from_tops(I, {a: rng.randint(0, 2) for a in I.elements}), rng)
+    return fiberwise_morphism(f.fibration, point_fibration(J), assign), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_functors_made_by_induction_on_level_setups_keep_the_eliminated_splitting(seed):
+    _assert_kept_splittings_are_eliminated_ones(*_crossed_level_case(random.Random(seed)))
+
+
+def test_level_assemble_gives_the_same_functor_from_kept_and_from_fresh_pieces():
+    rng = random.Random(29)
+    cases = _circle_stage_cases(rng) + [_crossed_level_case(rng) for _ in range(8)]
+    for p, f in cases:
+        g, h, alpha = level_disassemble(p, f)
+        assert level_assemble(p, g, h, alpha) == level_assemble(p, _fresh(g), _fresh(h), alpha)
+
+
+def test_a_split_induced_functor_survives_pickle():
+    """With the splittings it keeps, and the blocks it reads them off, an
+    induced functor and the tops pickle, compare equal and split the same."""
+    import pickle
+
+    from stokeslib import top_functor
+    from stokeslib.functors import punctual_splittings
+
+    for p, f in _circle_stage_cases(random.Random(31))[:2]:
+        for piece in (induce(p, f), top_functor(f, punctual_splittings(f))):
+            for read_first in (False, True):
+                if read_first:
+                    punctual_splittings(piece)
+                back = pickle.loads(pickle.dumps(piece))
+                assert back == piece
+                assert punctual_splittings(back) == punctual_splittings(_fresh(piece))

@@ -250,3 +250,20 @@ def test_matmul_matches_the_oracle_product(n, inner, m, data):
     assert (prod.rows, prod.cols) == (n, m)
     assert prod.to_lists() == oracle_matmul(a_rows, b_rows, m)
     assert all(type(v) is Fraction for v in prod.entries)
+
+
+@given(wide_systems(), st.booleans(), st.randoms(use_true_random=False))
+def test_the_batch_solves_do_not_depend_on_the_order_of_the_rows(system, keep_zeros, rnd):
+    """sparse_rank, sparse_kernel_basis and sparse_solve insert their rows in
+    an order of their own; the reduced row echelon form is unique, so shuffled
+    rows give the same rank, the same kernel list and the same solution."""
+    rows, ncols = system
+    sparse = as_sparse(rows, keep_zeros)
+    shuffled = list(sparse)
+    rnd.shuffle(shuffled)
+    assert sparse_rank(shuffled) == sparse_rank(sparse) == oracle_rank(rows)
+    assert sparse_kernel_basis(shuffled, ncols) == sparse_kernel_basis(sparse, ncols)
+    got, want = sparse_solve(shuffled, ncols - 1), sparse_solve(sparse, ncols - 1)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert dict(got) == dict(want)
